@@ -11,26 +11,7 @@ import argparse
 import random
 from collections import Counter
 
-from relfix.lattice import MonotoneOp, TransitionSystem, f_apply, galois_check, mu_post, nu_pre, safety_check
-
-
-def random_system(rng: random.Random, max_states: int) -> TransitionSystem:
-    n = rng.randrange(1, max_states + 1)
-    states = tuple(f"s{i}" for i in range(n))
-    delta = {
-        x: frozenset(y for y in states if rng.random() < 0.4) for x in states
-    }
-
-    def image(us: frozenset[str]) -> frozenset[str]:
-        return frozenset(y for x in us for y in delta[x])
-
-    init = frozenset(x for x in states if rng.random() < 0.5)
-    while not init <= image(init):
-        init &= image(init)
-    safe = frozenset(x for x in states if rng.random() < 0.5)
-    while not image(safe) <= safe:
-        safe |= image(safe)
-    return TransitionSystem(states, delta, init, safe)
+from relfix.lattice import MonotoneOp, f_apply, galois_check, mu_post, nu_pre, random_system, safety_check
 
 
 def chain_length(op: MonotoneOp, start: frozenset[str]) -> int:
@@ -55,7 +36,7 @@ def main() -> None:
     lengths = Counter()
     verdicts = Counter()
     for _ in range(args.count):
-        ts = random_system(rng, args.max_states)
+        ts = random_system(rng, args.max_states, 0.4)
         op = MonotoneOp.from_transition_system(ts)
         assert galois_check(op, ts.init, ts.safe)
         least = mu_post(op, ts.init)

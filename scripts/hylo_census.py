@@ -9,18 +9,12 @@ from __future__ import annotations
 
 import argparse
 from collections import Counter
+from pathlib import Path
 
-from relfix.finstruct import FinAlgebra, all_coalgebras, enumerate_hylo, is_wellfounded
-from relfix.sigterm import Signature
+from relfix.finstruct import all_coalgebras, enumerate_hylo, is_wellfounded
+from relfix.jsonio import load_algebra
 
-UNARY = Signature((("cross", 1), ("chk", 1)))
-
-FLIP = {
-    ("chk", ("0",)): "1",
-    ("chk", ("1",)): "0",
-    ("cross", ("0",)): "0",
-    ("cross", ("1",)): "1",
-}
+FLIP_PATH = Path(__file__).resolve().parent / "data" / "flip_algebra.json"
 
 
 def main() -> None:
@@ -28,12 +22,12 @@ def main() -> None:
     parser.add_argument("--max-states", type=int, default=4)
     args = parser.parse_args()
 
-    flip = FinAlgebra(UNARY, ("0", "1"), FLIP)
+    flip = load_algebra(FLIP_PATH)
     print(f"{'states':>6} {'machines':>9}  solution counts")
     for n in range(1, args.max_states + 1):
         census = Counter()
         wellfounded = 0
-        for machine in all_coalgebras(UNARY, n):
+        for machine in all_coalgebras(flip.sig, n):
             census[len(enumerate_hylo(machine, flip))] += 1
             wellfounded += is_wellfounded(machine)
         detail = ", ".join(f"{k}:{census[k]}" for k in sorted(census))

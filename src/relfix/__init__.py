@@ -59,7 +59,6 @@ from .lattice import (
 )
 from .mu import MuPresentation, mu_equal, mu_hom_count, mu_presentation, unfold_once
 from .nu import (
-    NextTime,
     RationalTree,
     TreePrefix,
     bisimilar,

@@ -2,7 +2,8 @@
 
 Every subcommand reads versioned JSON problem files, prints one canonical JSON
 document to stdout, and exits 0 on success, 1 when a search budget or bound is
-exceeded, 2 on malformed input, 3 when a safety check comes back unsafe.
+exceeded, 2 on malformed input (including input nested too deeply to walk),
+3 when a safety check comes back unsafe.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .finstruct import (
     FinAlgebra,
     FinCoalgebra,
     all_algebras,
+    check_recursive_on,
     enumerate_hylo,
     is_ca_morphism,
 )
@@ -31,11 +33,11 @@ from .jsonio import (
 )
 from .lattice import (
     MonotoneOp,
-    TransitionSystem,
     f_apply,
     galois_check,
     mu_post,
     nu_pre,
+    random_system,
     safety_check,
 )
 from .mu import mu_equal, mu_presentation
@@ -146,15 +148,15 @@ def _cmd_cartesian(args) -> int:
 def _cmd_recursive(args) -> int:
     coalg = load_coalgebra(args.coalgebra)
     tested = 0
-    verdict = True
-    for size in range(1, args.max_carrier + 1):
-        for alg in all_algebras(coalg.sig, size):
-            tested += 1
-            if len(enumerate_hylo(coalg, alg, args.budget)) != 1:
-                verdict = False
-                break
-        if not verdict:
-            break
+
+    def algebras():
+        nonlocal tested
+        for size in range(1, args.max_carrier + 1):
+            for alg in all_algebras(coalg.sig, size):
+                tested += 1
+                yield alg
+
+    verdict = check_recursive_on(coalg, algebras(), args.budget)
     _emit(
         {
             "recursive": verdict,
@@ -189,25 +191,6 @@ def _cmd_carpet_member(args) -> int:
     return 0
 
 
-def _random_system(rng: random.Random) -> TransitionSystem:
-    n = rng.randrange(1, 6)
-    states = tuple(f"s{i}" for i in range(n))
-    delta = {
-        x: frozenset(y for y in states if rng.random() < 0.45) for x in states
-    }
-
-    def image(us: frozenset[str]) -> frozenset[str]:
-        return frozenset(y for x in us for y in delta[x])
-
-    init = frozenset(x for x in states if rng.random() < 0.5)
-    while not init <= image(init):
-        init &= image(init)
-    safe = frozenset(x for x in states if rng.random() < 0.5)
-    while not image(safe) <= safe:
-        safe |= image(safe)
-    return TransitionSystem(states, delta, init, safe)
-
-
 def _random_machine(rng: random.Random) -> FinCoalgebra:
     sig = Signature((("f", 2), ("g", 1), ("c", 0)))
     n = rng.randrange(1, 5)
@@ -240,7 +223,7 @@ def _cmd_selftest(args) -> int:
             failures.append(name)
 
     for trial in range(args.trials):
-        ts = _random_system(rng)
+        ts = random_system(rng, 5, 0.45)
         op = MonotoneOp.from_transition_system(ts)
         record(f"galois[{trial}]", galois_check(op, ts.init, ts.safe))
         least = mu_post(op, ts.init)
@@ -363,6 +346,9 @@ def main(argv=None) -> int:
         return 1
     except (RelfixError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        print(f"error: input nests too deeply ({exc})", file=sys.stderr)
         return 2
 
 

@@ -5,7 +5,9 @@ state count works; up to 64 states this is a single machine word).  The
 least solution above a post-fixed start is the cumulative join chain, the
 greatest solution below a pre-fixed start the cumulative meet chain; both
 stabilize within |S| steps.  The safety check runs both chains in lockstep
-and reports the first inclusion that fails.
+and reports the first inclusion that fails.  An operator built from a
+successor relation preserves unions, so it has a right adjoint, the
+next-time operator `box_mask`.
 """
 from __future__ import annotations
 
@@ -61,16 +63,23 @@ class MonotoneOp:
         self._nu_cache: dict[int, int] = {}
 
     @classmethod
-    def from_transition_system(cls, ts: TransitionSystem) -> "MonotoneOp":
-        """F(X) = union of delta over X; monotone by construction."""
-        index = {s: i for i, s in enumerate(ts.states)}
+    def from_successors(
+        cls, states: Iterable[str], successors: Mapping[str, Iterable[str]]
+    ) -> "MonotoneOp":
+        """F(X) = union of successors over X; monotone by construction."""
+        states = tuple(states)
+        index = {s: i for i, s in enumerate(states)}
         succ_masks = []
-        for x in ts.states:
+        for x in states:
             m = 0
-            for y in ts.delta[x]:
+            for y in successors[x]:
                 m |= 1 << index[y]
             succ_masks.append(m)
-        return cls(ts.states, succ_masks=succ_masks)
+        return cls(states, succ_masks=succ_masks)
+
+    @classmethod
+    def from_transition_system(cls, ts: TransitionSystem) -> "MonotoneOp":
+        return cls.from_successors(ts.states, ts.delta)
 
     @classmethod
     def from_table(
@@ -134,6 +143,17 @@ class MonotoneOp:
             return out
         return self._table[mask]
 
+    def box_mask(self, mask: int) -> int:
+        """The right adjoint of apply_mask: the states whose successors all
+        lie in mask, so apply_mask(x) <= u exactly when x <= box_mask(u)."""
+        if self._succ_masks is None:
+            raise ValueError("a table operator need not preserve unions: no right adjoint")
+        out = 0
+        for i, need in enumerate(self._succ_masks):
+            if need | mask == mask:
+                out |= 1 << i
+        return out
+
     def _min_state(self, mask: int) -> str:
         return self.states[(mask & -mask).bit_length() - 1]
 
@@ -192,6 +212,25 @@ def galois_check(op: MonotoneOp, post_start: Iterable[str], pre_start: Iterable[
     lhs = op.mu_post_mask(i_mask) & ~p_mask == 0
     rhs = i_mask & ~op.nu_pre_mask(p_mask) == 0
     return lhs == rhs
+
+
+def random_system(rng: random.Random, max_states: int, density: float) -> TransitionSystem:
+    """A seeded random system on 1..max_states states, each edge present with
+    probability `density`; init is shrunk until post-fixed and safe grown
+    until pre-fixed, so both chain preconditions hold."""
+    n = rng.randrange(1, max_states + 1)
+    states = tuple(f"s{i}" for i in range(n))
+    delta = {
+        x: frozenset(y for y in states if rng.random() < density) for x in states
+    }
+    op = MonotoneOp.from_successors(states, delta)
+    init = op.mask_of(x for x in states if rng.random() < 0.5)
+    while init & ~op.apply_mask(init):
+        init &= op.apply_mask(init)
+    safe = op.mask_of(x for x in states if rng.random() < 0.5)
+    while op.apply_mask(safe) & ~safe:
+        safe |= op.apply_mask(safe)
+    return TransitionSystem(states, delta, op.set_of(init), op.set_of(safe))
 
 
 UNSAFE_FORWARD = "F^n(I) ⊄ P"

@@ -27,6 +27,7 @@ from .finstruct import (
     enumerate_hylo,
     is_ca_morphism,
 )
+from .lattice import MonotoneOp
 from .sigterm import Signature
 
 
@@ -221,26 +222,17 @@ def count_coalg_homs_to_nu(
     return len(solutions)
 
 
-def next_time(coalg: FinCoalgebra, u: Iterable[str]) -> frozenset[str]:
-    """States whose every successor lies in u (vacuously, nullary steps)."""
-    uset = frozenset(u)
-    bad = uset - set(coalg.states)
-    if bad:
-        raise ValueError(f"not states of the machine: {sorted(bad)}")
-    return frozenset(
-        x for x in coalg.states if all(y in uset for y in coalg.step[x][1])
+def _successor_op(coalg: FinCoalgebra) -> MonotoneOp:
+    """The successor image of a machine; next-time is its right adjoint."""
+    return MonotoneOp.from_successors(
+        coalg.states, {x: args for x, (_, args) in coalg.step.items()}
     )
 
 
-@dataclass(frozen=True)
-class NextTime:
-    """One machine's successor-containment operator, packaged as a callable
-    monotone map on state subsets."""
-
-    coalg: FinCoalgebra
-
-    def __call__(self, u: Iterable[str]) -> frozenset[str]:
-        return next_time(self.coalg, u)
+def next_time(coalg: FinCoalgebra, u: Iterable[str]) -> frozenset[str]:
+    """States whose every successor lies in u (vacuously, nullary steps)."""
+    op = _successor_op(coalg)
+    return op.set_of(op.box_mask(op.mask_of(u)))
 
 
 def greatest_subcoalgebra(
@@ -252,11 +244,12 @@ def greatest_subcoalgebra(
     this is the greatest fixed point of next_time; below a proper subset it
     yields the greatest invariant subset, which need not be a fixed point.
     """
-    u = frozenset(coalg.states if within is None else within)
+    op = _successor_op(coalg)
+    u = op.mask_of(coalg.states if within is None else within)
     while True:
-        nxt = u & next_time(coalg, u)
+        nxt = u & op.box_mask(u)
         if nxt == u:
-            return u
+            return op.set_of(u)
         u = nxt
 
 
@@ -266,16 +259,12 @@ def cartesian_subcoalgebras(coalg: FinCoalgebra, bound: int = 16) -> list[tuple[
     states = coalg.states
     if len(states) > bound:
         raise BoundExceeded(f"{len(states)} states exceeds the exhaustive bound {bound}")
-    succ_idx = [[states.index(y) for y in coalg.step[x][1]] for x in states]
-    out: list[tuple[str, ...]] = []
-    for mask in range(1 << len(states)):
-        image = 0
-        for i in range(len(states)):
-            if all(mask >> j & 1 for j in succ_idx[i]):
-                image |= 1 << i
-        if image == mask:
-            out.append(tuple(s for i, s in enumerate(states) if mask >> i & 1))
-    return out
+    op = _successor_op(coalg)
+    return [
+        tuple(s for i, s in enumerate(states) if mask >> i & 1)
+        for mask in range(1 << len(states))
+        if op.box_mask(mask) == mask
+    ]
 
 
 @lru_cache(maxsize=None)

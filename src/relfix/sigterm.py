@@ -167,10 +167,6 @@ def postorder(t: Term) -> Iterator[Term]:
                     stack.append((a, False))
 
 
-def subterms(t: Term) -> list[Term]:
-    return list(postorder(t))
-
-
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Replace each variable by its image under `mapping` (missing ones stay)."""
     memo: dict[int, Term] = {}

@@ -48,6 +48,16 @@ def random_machine(rng: random.Random, sig: Signature, n_states: int) -> FinCoal
     return FinCoalgebra(sig, states, step)
 
 
+# nullary through ternary symbols, so machines get both nullary steps and
+# repeated arguments such as f(x, x)
+MIXED = Signature((("c", 0), ("g", 1), ("f", 2), ("h", 3)))
+
+
+def random_mixed_machines(seed: int, count: int, max_states: int = 5) -> list[FinCoalgebra]:
+    rng = random.Random(seed)
+    return [random_machine(rng, MIXED, rng.randint(1, max_states)) for _ in range(count)]
+
+
 def random_algebra(rng: random.Random, sig: Signature, size: int) -> FinAlgebra:
     carrier = tuple(str(i) for i in range(size))
     table = {}

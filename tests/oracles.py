@@ -167,6 +167,13 @@ def naive_next_time_fixed_points(coalg) -> list[frozenset]:
     return out
 
 
+def naive_greatest_invariant(coalg, within) -> frozenset:
+    """`within` minus every state that can reach a state outside it."""
+    delta = {x: coalg.step[x][1] for x in coalg.states}
+    outside = set(coalg.states) - set(within)
+    return frozenset(x for x in within if not bfs_reachable(delta, [x]) & outside)
+
+
 # --- carpet -----------------------------------------------------------------
 
 def cell_of_point(x, y, depth: int) -> tuple[int, int]:

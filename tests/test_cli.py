@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -257,7 +258,7 @@ def test_cartesian_bound(capsys):
 def test_recursive_negative(capsys):
     code, body = run(capsys, "recursive", DATA / "two_cycle.json", "--max-carrier", "2")
     assert code == 0
-    assert body["recursive"] is False
+    assert body == {"algebras_tested": 3, "max_carrier": 2, "recursive": False}
 
 
 def test_recursive_positive(capsys, tmp_path):
@@ -265,8 +266,7 @@ def test_recursive_positive(capsys, tmp_path):
     f.write_text(jsonio.canonical_dumps(jsonio.coalgebra_to_json(acyclic_pq())))
     code, body = run(capsys, "recursive", f, "--max-carrier", "2")
     assert code == 0
-    assert body["recursive"] is True
-    assert body["algebras_tested"] > 0
+    assert body == {"algebras_tested": 33, "max_carrier": 2, "recursive": True}
 
 
 def test_sierpinski(capsys, tmp_path):
@@ -324,6 +324,36 @@ def test_not_json(capsys, tmp_path):
 def test_missing_file(capsys, tmp_path):
     code, body = run(capsys, "safety", tmp_path / "absent.json")
     assert code == 2
+
+
+def run_process(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "relfix", *map(str, argv)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+def test_too_deep_prefix_is_an_input_error(tmp_path):
+    # built as text: json.dump itself would recurse this deep
+    depth = 3000
+    node = '{"label": "0", "op": "cross", "children": ['
+    root = node * depth + '{"label": "0"}' + "]}" * depth
+    f = tmp_path / "deep.json"
+    f.write_text('{"format": 1, "kind": "prefix", "root": ' + root + "}")
+    proc = run_process("nu-check", DATA / "flip_algebra.json", f)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_too_deep_carpet_is_an_input_error():
+    proc = run_process("carpet-member", "0", "0", "--depth", "5000")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_output_is_deterministic(capsys):

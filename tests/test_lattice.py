@@ -12,11 +12,12 @@ from relfix.lattice import (
     galois_check,
     mu_post,
     nu_pre,
+    random_system,
     safety_check,
 )
 
 import cases
-from gen import random_transition_system
+from gen import random_mixed_machines, random_transition_system
 from oracles import all_subsets, bfs_reachable
 
 
@@ -126,6 +127,41 @@ class TestGalois:
             assert ts.init <= nu_pre(op, z)
             w = nu_pre(op, ts.safe)
             assert mu_post(op, w) <= ts.safe
+
+
+class TestBox:
+    def test_right_adjoint_of_successor_image(self):
+        # apply_mask(X) <= U iff X <= box_mask(U), for every X and U; a right
+        # adjoint is unique, so this pins box_mask down completely
+        machines = random_mixed_machines(seed=31, count=200)
+        steps = [b.step[x] for b in machines for x in b.states]
+        assert any(not args for _, args in steps)
+        assert any(len(set(args)) < len(args) for _, args in steps)
+        for b in machines:
+            op = MonotoneOp.from_successors(b.states, {x: b.successors(x) for x in b.states})
+            masks = range(1 << len(b.states))
+            image = [op.apply_mask(x) for x in masks]
+            box = [op.box_mask(u) for u in masks]
+            for x in masks:
+                for u in masks:
+                    assert (image[x] & ~u == 0) == (x & ~box[u] == 0)
+
+    def test_table_operator_has_no_box(self):
+        states = ("a", "b")
+        op = MonotoneOp.from_table(states, {s: s for s in all_subsets(states)})
+        with pytest.raises(ValueError):
+            op.box_mask(0b01)
+
+
+class TestRandomSystem:
+    @pytest.mark.parametrize("max_states,density", [(5, 0.45), (7, 0.4)])
+    def test_starts_meet_chain_preconditions(self, max_states, density):
+        rng = random.Random(3)
+        for _ in range(100):
+            ts = random_system(rng, max_states, density)
+            assert 1 <= len(ts.states) <= max_states
+            assert ts.init <= frozenset(y for x in ts.init for y in ts.delta[x])
+            assert frozenset(y for x in ts.safe for y in ts.delta[x]) <= ts.safe
 
 
 class TestTableOps:

@@ -6,8 +6,8 @@ import pytest
 
 from relfix.errors import BoundExceeded, BudgetExceeded, NotCaMorphism
 from relfix.finstruct import FinAlgebra, FinCoalgebra, enumerate_hylo
+from relfix.lattice import MonotoneOp
 from relfix.nu import (
-    NextTime,
     RationalTree,
     TreePrefix,
     bisimilar,
@@ -25,7 +25,8 @@ from relfix.nu import (
 from relfix.sigterm import Signature
 
 import cases
-from oracles import naive_next_time_fixed_points
+from gen import random_mixed_machines
+from oracles import naive_greatest_invariant, naive_next_time_fixed_points
 
 
 def leaf(label):
@@ -201,9 +202,9 @@ class TestNextTime:
 
     def test_packaged_operator_matches_function(self):
         b = cases.three_state_automaton()
-        op = NextTime(b)
+        op = MonotoneOp.from_successors(b.states, {x: b.successors(x) for x in b.states})
         for u in ((), ("q2",), b.states):
-            assert op(u) == next_time(b, u)
+            assert op.set_of(op.box_mask(op.mask_of(u))) == next_time(b, u)
 
 
 class TestGreatestSubcoalgebra:
@@ -219,6 +220,14 @@ class TestGreatestSubcoalgebra:
         g = greatest_subcoalgebra(b, {"b"})
         assert g == frozenset({"b"})
         assert g < next_time(b, g)  # invariant but not fixed below this subset
+
+    def test_matches_reachability_oracle(self):
+        rng = random.Random(37)
+        for b in random_mixed_machines(seed=37, count=200):
+            assert greatest_subcoalgebra(b) == naive_greatest_invariant(b, b.states)
+            for _ in range(5):
+                within = frozenset(x for x in b.states if rng.random() < 0.6)
+                assert greatest_subcoalgebra(b, within) == naive_greatest_invariant(b, within)
 
 
 class TestCartesian:
