@@ -23,7 +23,7 @@ def main() -> None:
     print(f"{'depth':>5} {'inside':>10} {'fraction':>10} {'(8/9)^d':>10}")
     for d in range(args.depth + 1):
         pixels = render(d, args.res)
-        inside = sum(1 for b in pixels if b == 0)
+        inside = pixels.count(0)
         fraction = inside / len(pixels)
         exact = float(Fraction(8, 9) ** d)
         print(f"{d:>5} {inside:>10} {fraction:>10.6f} {exact:>10.6f}")

@@ -2,8 +2,9 @@
 
 Every subcommand reads versioned JSON problem files, prints one canonical JSON
 document to stdout, and exits 0 on success, 1 when a search budget or bound is
-exceeded, 2 on malformed input (including input nested too deeply to walk),
-3 when a safety check comes back unsafe.
+exceeded, 2 on malformed input (including input nested too deeply to walk)
+or an output file that cannot be written, 3 when a safety check comes back
+unsafe.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .finstruct import (
     enumerate_hylo,
     is_ca_morphism,
 )
-from .fractal import carpet_member, render, write_pgm
+from .fractal import carpet_member, write_pgm
 from .jsonio import (
     canonical_dumps,
     load_algebra,
@@ -168,14 +169,13 @@ def _cmd_recursive(args) -> int:
 
 
 def _cmd_sierpinski(args) -> int:
-    write_pgm(args.out, args.depth, args.res)
-    pixels = render(args.depth, args.res)
+    pixels = write_pgm(args.out, args.depth, args.res)
     _emit(
         {
             "out": args.out,
             "depth": args.depth,
             "res": args.res,
-            "inside": sum(1 for b in pixels if b == 0),
+            "inside": pixels.count(0),
         }
     )
     return 0
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, BoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RelfixError, ValueError) as exc:
+    except (RelfixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:

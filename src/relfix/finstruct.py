@@ -264,13 +264,6 @@ def check_recursive_on(
     return all(len(enumerate_hylo(coalg, alg, budget)) == 1 for alg in algebras)
 
 
-def check_corecursive_on(
-    alg: FinAlgebra, coalgebras: Iterable[FinCoalgebra], budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Does the algebra admit exactly one solution against every given machine?"""
-    return all(len(enumerate_hylo(coalg, alg, budget)) == 1 for coalg in coalgebras)
-
-
 def is_coalgebra_morphism(
     src: FinCoalgebra, dst: FinCoalgebra, g: Mapping[str, str]
 ) -> bool:

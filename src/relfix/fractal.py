@@ -62,46 +62,41 @@ def approximant(depth: int, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> CellSet:
     return c
 
 
-def _to_fraction(v: Coord) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v)
-    return Fraction(v)
+def _middle_levels(v: Fraction, depth: int) -> int:
+    """Bit k set iff base-3 digit k+1 of v is 1, for the levels before v
+    first lands on a cut (or before `depth`, if it never does).
 
-
-def _thirds_containing(v: Fraction) -> tuple[int, ...]:
-    """Indices m with m/3 <= v <= (m+1)/3; two of them when v sits on a cut."""
-    tv = 3 * v
-    floor = int(tv)
-    out = []
-    for m in (floor - 1, floor):
-        if 0 <= m <= 2 and m <= tv <= m + 1:
-            out.append(m)
-    return tuple(out)
+    From a cut, v can always pick a third other than the middle one, and
+    afterwards it sits at 0 or 1, which never have digit 1 again.  So a
+    point lies in the closed approximant iff its two masks share no bit.
+    """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    num, den = v.numerator, v.denominator
+    mask = 0
+    for k in range(depth):
+        digit, num = divmod(3 * num, den)
+        if num == 0:
+            break
+        if digit == 1:
+            mask |= 1 << k
+    return mask
 
 
 def carpet_member(x: Coord, y: Coord, depth: int) -> bool:
     """Is (x, y) in the closed depth-`depth` approximant?
 
     Exact rational arithmetic throughout; strings like "1/3" are accepted.
-    Points on a gridline are tested against both adjacent cells, which
-    realizes the closed-cell convention.
+    Points on a gridline count as inside whenever an adjacent retained
+    cell contains them.
     """
-    fx, fy = _to_fraction(x), _to_fraction(y)
+    try:
+        fx, fy = Fraction(x), Fraction(y)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in ({x}, {y})") from None
     if not (0 <= fx <= 1 and 0 <= fy <= 1):
         raise ValueError("the carpet lives in the unit square")
-
-    def member(px: Fraction, py: Fraction, d: int) -> bool:
-        if d == 0:
-            return True
-        for mx in _thirds_containing(px):
-            for my in _thirds_containing(py):
-                if (mx, my) == (1, 1):
-                    continue
-                if member(3 * px - mx, 3 * py - my, d - 1):
-                    return True
-        return False
-
-    return member(fx, fy, depth)
+    return _middle_levels(fx, depth) & _middle_levels(fy, depth) == 0
 
 
 def render(depth: int, res: int) -> bytes:
@@ -109,13 +104,10 @@ def render(depth: int, res: int) -> bytes:
     inside pixels are byte 0, outside 255."""
     if res <= 0:
         raise ValueError("resolution must be positive")
-    rows = bytearray()
-    for row in range(res):
-        y = Fraction(2 * (res - row) - 1, 2 * res)
-        for col in range(res):
-            x = Fraction(2 * col + 1, 2 * res)
-            rows.append(0 if carpet_member(x, y, depth) else 255)
-    return bytes(rows)
+    # v -> 1 - v swaps base-3 digits 0 and 2 and keeps the cuts, so row r
+    # counted from the top has the mask of column r
+    masks = [_middle_levels(Fraction(2 * i + 1, 2 * res), depth) for i in range(res)]
+    return bytes(0 if row & col == 0 else 255 for row in masks for col in masks)
 
 
 def pgm_bytes(depth: int, res: int) -> bytes:
@@ -123,9 +115,12 @@ def pgm_bytes(depth: int, res: int) -> bytes:
     return header + render(depth, res)
 
 
-def write_pgm(path, depth: int, res: int) -> None:
+def write_pgm(path, depth: int, res: int) -> bytes:
+    """Write the approximant as a binary PGM and return its raster."""
+    data = pgm_bytes(depth, res)
     with open(path, "wb") as fh:
-        fh.write(pgm_bytes(depth, res))
+        fh.write(data)
+    return data[-res * res:]
 
 
 EDGES = ("bottom", "right", "top", "left")
@@ -146,7 +141,7 @@ class BoundaryPoint:
     def __post_init__(self):
         if self.edge not in EDGES:
             raise ValueError(f"unknown edge {self.edge!r}")
-        t = _to_fraction(self.t)
+        t = Fraction(self.t)
         if not 0 <= t <= 1:
             raise ValueError("edge parameter must lie in [0, 1]")
         object.__setattr__(self, "t", t)
@@ -175,7 +170,7 @@ class BoundaryPoint:
 
 
 def boundary_from_xy(x: Coord, y: Coord) -> BoundaryPoint:
-    fx, fy = _to_fraction(x), _to_fraction(y)
+    fx, fy = Fraction(x), Fraction(y)
     if fy == 0 and 0 <= fx <= 1:
         return BoundaryPoint("bottom", fx)
     if fx == 1 and 0 <= fy <= 1:

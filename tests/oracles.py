@@ -3,11 +3,13 @@
 Everything here is deliberately naive and shares no code path with the
 library: plain-dict equivalence closure instead of union-find, brute-force
 filtering instead of constraint propagation, queue-based graph search instead
-of bitset iteration, and digit-free subdivision instead of digit tests.
+of bitset iteration, and grid cells instead of coordinate digit scans.
 """
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
+from math import floor
 from itertools import product
 
 from relfix.sigterm import EquationSet, Term, app, postorder
@@ -180,3 +182,27 @@ def cell_of_point(x, y, depth: int) -> tuple[int, int]:
     """Grid cell of a point not on any depth-`depth` gridline."""
     scale = 3 ** depth
     return (int(x * scale), int(y * scale))
+
+
+def naive_carpet_member(x, y, depth: int) -> bool:
+    """Is (x, y) in the closure of some retained depth-`depth` cell?
+
+    Tries every cell (i, j) of the 3^depth grid whose closure holds the
+    point; a cell is retained when no level has digit 1 in both i and j.
+    """
+    scale = 3 ** depth
+    sx, sy = Fraction(x) * scale, Fraction(y) * scale
+
+    def near(s):
+        return [i for i in (floor(s) - 1, floor(s)) if 0 <= i < scale and i <= s <= i + 1]
+
+    for i in near(sx):
+        for j in near(sy):
+            a, b = i, j
+            while a or b:
+                if a % 3 == 1 and b % 3 == 1:
+                    break
+                a, b = a // 3, b // 3
+            else:
+                return True
+    return False

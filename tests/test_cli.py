@@ -349,8 +349,41 @@ def test_too_deep_prefix_is_an_input_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_too_deep_carpet_is_an_input_error():
+def test_deep_carpet_member_is_answered():
     proc = run_process("carpet-member", "0", "0", "--depth", "5000")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["member"] is True
+    # digit 4000 of both coordinates is the first 1, so only depth 4000 and
+    # beyond drop the point
+    v = f"1/{2 * 3**3999}"
+    for depth, member in ((5000, False), (3999, True)):
+        proc = run_process("carpet-member", v, v, "--depth", depth)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["member"] is member
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("carpet-member", "1/2", "1/2", "--depth", "-3"),
+        ("carpet-member", "1/0", "0"),
+        ("sierpinski", "--depth", "-1", "--res", "3", "--out", "carpet.pgm"),
+    ],
+)
+def test_bad_carpet_input_is_an_input_error(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    proc = run_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "carpet.pgm").exists()
+
+
+def test_unwritable_out_is_an_input_error(tmp_path):
+    out = tmp_path / "missing" / "carpet.pgm"
+    proc = run_process("sierpinski", "--depth", "1", "--res", "3", "--out", out)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr

@@ -17,7 +17,6 @@ from relfix.finstruct import (
     FinCoalgebra,
     all_algebras,
     all_coalgebras,
-    check_corecursive_on,
     check_recursive_on,
     enumerate_hylo,
     eval_term,
@@ -194,18 +193,6 @@ class TestRecursivity:
     def test_loops_fail_against_flip(self):
         assert check_recursive_on(cases.chk_loop(), [cases.flip_algebra()]) is False
         assert check_recursive_on(cases.cross_loop(), [cases.flip_algebra()]) is False
-
-    def test_corecursive_against_empty_machine_only(self):
-        assert check_corecursive_on(cases.flip_algebra(), [cases.empty_machine()]) is True
-
-    def test_singleton_carrier_corecursive_on_small_machines(self):
-        one = FinAlgebra(
-            cases.UNARY,
-            ("0",),
-            {("chk", ("0",)): "0", ("cross", ("0",)): "0"},
-        )
-        machines = list(all_coalgebras(cases.UNARY, 1)) + list(all_coalgebras(cases.UNARY, 2))
-        assert check_corecursive_on(one, machines) is True
 
 
 class TestMorphismComposition:

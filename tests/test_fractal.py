@@ -1,4 +1,5 @@
 """Carpet approximants, membership, rendering, and boundary metrics."""
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from relfix.fractal import (
     write_pgm,
 )
 
-from oracles import cell_of_point
+from oracles import cell_of_point, naive_carpet_member
 
 
 class TestSubdivide:
@@ -98,6 +99,23 @@ class TestMembership:
         for d in range(9):
             assert carpet_member(1, "1/2", d) is True
 
+    @pytest.mark.parametrize("depth", range(5))
+    def test_matches_closed_cell_oracle(self, depth):
+        # denominators 2 and 3^k put points on cuts, cell centers and both
+        for q in (1, 2, 3, 6, 9, 18, 27, 54):
+            for a in range(q + 1):
+                for b in range(q + 1):
+                    x, y = Fraction(a, q), Fraction(b, q)
+                    assert carpet_member(x, y, depth) == naive_carpet_member(x, y, depth), (x, y)
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError):
+            carpet_member("1/2", "1/2", -3)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            carpet_member("1/0", 0, 1)
+
 
 class TestRender:
     def test_depth_zero_all_inside(self):
@@ -120,8 +138,37 @@ class TestRender:
 
     def test_write_pgm(self, tmp_path):
         path = tmp_path / "carpet.pgm"
-        write_pgm(path, 1, 3)
+        assert write_pgm(path, 1, 3) == render(1, 3)
         assert path.read_bytes() == pgm_bytes(1, 3)
+
+    def test_refused_render_writes_no_file(self, tmp_path):
+        path = tmp_path / "carpet.pgm"
+        with pytest.raises(ValueError):
+            write_pgm(path, -1, 3)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("depth", range(4))
+    def test_matches_closed_cell_oracle(self, depth):
+        for res in range(1, 31):
+            centers = [Fraction(2 * i + 1, 2 * res) for i in range(res)]
+            want = bytes(
+                0 if naive_carpet_member(x, y, depth) else 255
+                for y in reversed(centers)
+                for x in centers
+            )
+            assert render(depth, res) == want, res
+
+    @pytest.mark.parametrize(
+        "depth, res, digest",
+        [
+            (4, 243, "d2393e5b81b97f93b7d138bf3555df251a770ff4be6becba9c4971816246c0c6"),
+            (5, 200, "d3904cbd58b095cf21460d8c6547eb3372d9f098d1e1b9be9f428349f755aaed"),
+            (6, 729, "fcea0dd1114eeb11abbc05ea6e73a737e01524a99343f49fc7d25991bb3d2d53"),
+        ],
+    )
+    def test_pgm_digest(self, depth, res, digest):
+        # frozen from the recursive Fraction renderer this one replaced
+        assert hashlib.sha256(pgm_bytes(depth, res)).hexdigest() == digest
 
 
 def random_boundary_point(rng: random.Random) -> BoundaryPoint:
