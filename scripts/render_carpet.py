@@ -18,11 +18,11 @@ def main() -> None:
     parser.add_argument("--out", default="carpet.pgm")
     args = parser.parse_args()
 
-    write_pgm(args.out, args.depth, args.res)
+    final = write_pgm(args.out, args.depth, args.res)
     print(f"wrote {args.out} ({args.res}x{args.res}, depth {args.depth})")
     print(f"{'depth':>5} {'inside':>10} {'fraction':>10} {'(8/9)^d':>10}")
     for d in range(args.depth + 1):
-        pixels = render(d, args.res)
+        pixels = final if d == args.depth else render(d, args.res)
         inside = pixels.count(0)
         fraction = inside / len(pixels)
         exact = float(Fraction(8, 9) ** d)

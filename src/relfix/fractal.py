@@ -73,14 +73,13 @@ def _middle_levels(v: Fraction, depth: int) -> int:
     if depth < 0:
         raise ValueError("depth must be non-negative")
     num, den = v.numerator, v.denominator
-    mask = 0
-    for k in range(depth):
+    bits = []  # least significant first; one int() at the end keeps this linear
+    for _ in range(depth):
         digit, num = divmod(3 * num, den)
         if num == 0:
             break
-        if digit == 1:
-            mask |= 1 << k
-    return mask
+        bits.append("1" if digit == 1 else "0")
+    return int("".join(reversed(bits)) or "0", 2)
 
 
 def carpet_member(x: Coord, y: Coord, depth: int) -> bool:

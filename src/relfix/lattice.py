@@ -17,6 +17,8 @@ from typing import Iterable, Mapping
 
 from .errors import NotPostFixed, NotPreFixed
 
+MONOTONE_SAMPLES = 200
+
 
 @dataclass(frozen=True)
 class TransitionSystem:
@@ -59,6 +61,7 @@ class MonotoneOp:
         self._index = {s: i for i, s in enumerate(self.states)}
         self._succ_masks = succ_masks
         self._table = table
+        # galois_check repeats each start mask over every pre-fixed partner
         self._mu_cache: dict[int, int] = {}
         self._nu_cache: dict[int, int] = {}
 
@@ -83,15 +86,12 @@ class MonotoneOp:
 
     @classmethod
     def from_table(
-        cls,
-        states: Iterable[str],
-        table: Mapping[frozenset, Iterable[str]],
-        samples: int = 200,
+        cls, states: Iterable[str], table: Mapping[frozenset, Iterable[str]]
     ) -> "MonotoneOp":
         """An operator given pointwise on all subsets.
 
         Monotonicity is verified exhaustively up to 4 states and by seeded
-        random sampling of comparable pairs beyond that.
+        random sampling of MONOTONE_SAMPLES comparable pairs beyond that.
         """
         states = tuple(states)
         index = {s: i for i, s in enumerate(states)}
@@ -114,7 +114,7 @@ class MonotoneOp:
                         raise ValueError("table is not monotone")
         else:
             rng = random.Random(0)
-            for _ in range(samples):
+            for _ in range(MONOTONE_SAMPLES):
                 b = rng.randrange(1 << n)
                 a = b & rng.randrange(1 << n)
                 if masked[a] | masked[b] != masked[b]:

@@ -30,6 +30,8 @@ from .finstruct import (
 from .lattice import MonotoneOp
 from .sigterm import Signature
 
+CHECK_DEPTH = 4
+
 
 @dataclass(frozen=True)
 class TreePrefix:
@@ -106,9 +108,16 @@ def enum_nu_prefixes(
     """
     if root not in alg.carrier:
         raise ValueError(f"root {root!r} is not a carrier element")
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     fibers = tree_fibers(alg)
+    # the labels needed at each depth below the root, then built from the cutoff up
+    needed = [[root]]
+    for _ in range(depth):
+        needed.append(list(dict.fromkeys(
+            y for label in needed[-1] for _, args in fibers[label] for y in args
+        )))
     built = 0
-    memo: dict[tuple[str, int], list[TreePrefix]] = {}
 
     def make(label: str, op: str | None, children: tuple) -> TreePrefix:
         nonlocal built
@@ -117,21 +126,17 @@ def enum_nu_prefixes(
             raise BudgetExceeded(built, budget)
         return TreePrefix(label, op, children)
 
-    def expand(label: str, d: int) -> list[TreePrefix]:
-        key = (label, d)
-        if key in memo:
-            return memo[key]
-        if d == 0:
-            out = [make(label, None, ())]
-        else:
-            out = []
-            for op, args in fibers[label]:
-                for kids in product(*(expand(y, d - 1) for y in args)):
-                    out.append(make(label, op, kids))
-        memo[key] = out
-        return out
-
-    return expand(root, depth)
+    below = {label: [make(label, None, ())] for label in needed.pop()}
+    while needed:
+        below = {
+            label: [
+                make(label, op, kids)
+                for op, args in fibers[label]
+                for kids in product(*(below[y] for y in args))
+            ]
+            for label in needed.pop()
+        }
+    return below[root]
 
 
 @dataclass(frozen=True)
@@ -194,15 +199,12 @@ def coextension(
 
 
 def count_coalg_homs_to_nu(
-    coalg: FinCoalgebra,
-    alg: FinAlgebra,
-    budget: int = DEFAULT_BUDGET,
-    check_depth: int = 4,
+    coalg: FinCoalgebra, alg: FinAlgebra, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Number of machine maps into the greatest solution.
 
     Counted through the solution enumeration, then cross-checked: each
-    solution's trees must be guided at every tested unfolding depth and must
+    solution's trees must be guided at unfolding depths 0..CHECK_DEPTH and must
     return the solution on root labels, and distinct solutions must stay
     distinct.  Any failed check raises BijectionViolation.
     """
@@ -216,7 +218,7 @@ def count_coalg_homs_to_nu(
             tree = coextension(coalg, alg, f, x)
             if tree.root_label != f[x]:
                 raise BijectionViolation("root label does not recover the solution")
-            for d in range(check_depth + 1):
+            for d in range(CHECK_DEPTH + 1):
                 if not is_a_guided(alg, tree.unfold(d)):
                     raise BijectionViolation("unfolding left the guided trees")
     return len(solutions)

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import ArityMismatch, DepthLimit, ParseError, UnknownSymbol
 
-DEFAULT_DEPTH_LIMIT = 10_000
+DEPTH_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,15 @@ def var(name: str) -> Term:
     return t
 
 
-def app(op: str, args: Iterable[Term] = (), depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Term:
+def app(op: str, args: Iterable[Term] = ()) -> Term:
     """The application of `op` to the given argument terms."""
     args = tuple(args)
     key = (op, tuple(a.node_id for a in args))
     t = _intern.get(key)
     if t is None:
         depth = 1 + max((a.depth for a in args), default=-1)
-        if depth > depth_limit:
-            raise DepthLimit(f"term depth {depth} exceeds limit {depth_limit}")
+        if depth > DEPTH_LIMIT:
+            raise DepthLimit(f"term depth {depth} exceeds limit {DEPTH_LIMIT}")
         t = Term(len(_intern), op, args, depth)
         _intern[key] = t
     return t
@@ -277,15 +277,14 @@ class CongruenceClosure:
 
     Union-find over node ids plus a signature table keyed on (op, child
     representatives); merging two classes replays the affected parent
-    applications so congruences propagate upward.  Ties between candidate
-    representatives go to the node registered first, which keeps partitions
-    reproducible across runs.
+    applications so congruences propagate upward.  A merge moves the shorter
+    use list into the longer one, so each entry moves O(log n) times.  No
+    answer depends on which node represents a class.
     """
 
     def __init__(self, eqs: EquationSet):
         self.eqs = eqs
         self._parent: dict[int, int] = {}
-        self._order: dict[int, int] = {}
         self._use: dict[int, list[Term]] = {}
         self._sigtab: dict[tuple, Term] = {}
         self._pending: list[tuple[int, int]] = []
@@ -311,7 +310,6 @@ class CongruenceClosure:
             if i in self._parent:
                 continue
             self._parent[i] = i
-            self._order[i] = len(self._order)
             if node.is_var:
                 continue
             for a in node.args:
@@ -330,7 +328,7 @@ class CongruenceClosure:
             ra, rb = self._find(a), self._find(b)
             if ra == rb:
                 continue
-            if self._order[ra] > self._order[rb]:
+            if len(self._use.get(ra, ())) < len(self._use.get(rb, ())):
                 ra, rb = rb, ra
             self._parent[rb] = ra
             moved = self._use.pop(rb, [])

@@ -349,6 +349,15 @@ def test_too_deep_prefix_is_an_input_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_deep_nu_enum_is_refused_by_its_budget():
+    proc = run_process(
+        "nu-enum", DATA / "flip_algebra.json", "--root", "0", "--depth", "2000",
+        "--budget", "1000",
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: enumeration of size 1001 exceeds budget 1000\n"
+
+
 def test_deep_carpet_member_is_answered():
     proc = run_process("carpet-member", "0", "0", "--depth", "5000")
     assert proc.returncode == 0

@@ -99,6 +99,24 @@ class TestEnumPrefixes:
         with pytest.raises(BudgetExceeded):
             enum_nu_prefixes(alg, "0", 4, budget=50)
 
+    def test_deep_single_chain(self):
+        # one unary symbol acting as a swap: every label has exactly one fiber
+        sig = Signature((("s", 1),))
+        alg = FinAlgebra(sig, ("0", "1"), {("s", ("0",)): "1", ("s", ("1",)): "0"})
+        (prefix,) = enum_nu_prefixes(alg, "0", 5000, budget=5001)
+        labels = []
+        while not prefix.is_leaf:
+            labels.append(prefix.label)
+            (prefix,) = prefix.children
+        assert labels == ["0", "1"] * 2500 and prefix.label == "0"
+        with pytest.raises(BudgetExceeded) as err:
+            enum_nu_prefixes(alg, "0", 5000, budget=5000)
+        assert err.value.required == 5001
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError):
+            enum_nu_prefixes(cases.flip_algebra(), "0", -1)
+
     def test_fibers_partition_flat_applications(self):
         alg = meet_algebra(cases.BINARY)
         fibers = tree_fibers(alg)

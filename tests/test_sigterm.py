@@ -1,4 +1,6 @@
 """Terms, parsing, and the ground congruence word problem."""
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,6 +188,43 @@ class TestCongruence:
         assert first == second
 
 
+def merge_chain(n: int, reversed_merges: bool) -> EquationSet:
+    """u_i = h(v_i) for i <= n, then v_i = v_(i+1) for i < n.
+
+    Merged in reverse, each new equation joins the growing class of v's
+    into an older singleton; moving the growing use list every time would
+    cost a quadratic number of re-keyings.
+    """
+    v = [var(f"mv{i}") for i in range(n + 1)]
+    u = [var(f"mu{i}") for i in range(n + 1)]
+    merges = [(v[i], v[i + 1]) for i in range(n)]
+    if reversed_merges:
+        merges.reverse()
+    eqs = [(u[i], app("h", (v[i],))) for i in range(n + 1)]
+    return EquationSet(Signature((("h", 1),)), tuple(eqs + merges))
+
+
+class TestCongruenceWork:
+    @pytest.mark.parametrize("reversed_merges", [False, True])
+    def test_merge_chain_work_is_n_log_n(self, monkeypatch, reversed_merges):
+        n = 1000
+        eqs = merge_chain(n, reversed_merges)
+        calls = 0
+        find = CongruenceClosure._find
+
+        def counting_find(self, i):
+            nonlocal calls
+            calls += 1
+            return find(self, i)
+
+        monkeypatch.setattr(CongruenceClosure, "_find", counting_find)
+        cc = CongruenceClosure(eqs)
+        assert calls <= 4 * n * math.log2(n)
+        monkeypatch.undo()
+        assert cc.equal(var("mu0"), var(f"mu{n}"))
+        assert not cc.equal(var("mu0"), var("mv0"))
+
+
 # random flat systems over MIXED, shared by the property tests below
 _vars = st.sampled_from(["x0", "x1", "x2", "x3"])
 
@@ -241,3 +280,18 @@ class TestCongruenceProperties:
         cc = CongruenceClosure(eqs)
         for u in rewrite_reachable(eqs, t, steps):
             assert cc.equal(t, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_eq_systems, st.lists(_terms(2), max_size=6), st.data())
+    def test_equation_order_does_not_matter(self, eqs, terms, data):
+        """Reordering the equations, and swapping their sides, changes which
+        classes merge into which but not the partition."""
+        shuffled = data.draw(st.permutations(eqs.equations))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(shuffled), max_size=len(shuffled)))
+        other = EquationSet(
+            eqs.sig, tuple((r, l) if flip else (l, r) for (l, r), flip in zip(shuffled, flips))
+        )
+        assert congruence_classes(other, terms) == congruence_classes(eqs, terms)
+        for s in terms:
+            for t in terms:
+                assert congruence_decide(other, s, t) == congruence_decide(eqs, s, t)
