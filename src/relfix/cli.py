@@ -350,6 +350,9 @@ def main(argv=None) -> int:
     except RecursionError as exc:
         print(f"error: input nests too deeply ({exc})", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: input needs more memory than is available", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -207,15 +207,16 @@ def enumerate_hylo(
             slot = max(slot, index[y])
         ready[slot].append(z)
 
+    if not states:
+        return [{}]
     out: list[dict[str, str]] = []
     assignment: dict[str, str] = {}
-
-    def search(i: int) -> None:
-        if i == len(states):
-            out.append(dict(assignment))
-            return
+    # stack[i] yields the untried candidates of states[i]; depth-first order
+    stack = [iter(candidates[states[0]])]
+    while stack:
+        i = len(stack) - 1
         x = states[i]
-        for c in candidates[x]:
+        for c in stack[i]:
             assignment[x] = c
             ok = True
             for z in ready[i]:
@@ -224,10 +225,14 @@ def enumerate_hylo(
                     ok = False
                     break
             if ok:
-                search(i + 1)
-        del assignment[x]
-
-    search(0)
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(states):
+            out.append(dict(assignment))
+        else:
+            stack.append(iter(candidates[states[i + 1]]))
     return out
 
 
@@ -311,11 +316,9 @@ def all_algebras(sig: Signature, size: int) -> Iterator[FinAlgebra]:
         yield FinAlgebra(sig, carrier, dict(zip(keys, outs)))
 
 
-def all_coalgebras(
-    sig: Signature, size: int, prefix: str = "x"
-) -> Iterator[FinCoalgebra]:
-    """Every machine on `size` named states, in a fixed deterministic order."""
-    states = tuple(f"{prefix}{i}" for i in range(size))
+def all_coalgebras(sig: Signature, size: int) -> Iterator[FinCoalgebra]:
+    """Every machine on the states x0..x(size-1), in a fixed deterministic order."""
+    states = tuple(f"x{i}" for i in range(size))
     options = [
         (op, args)
         for op, arity in sig.symbols

@@ -18,7 +18,7 @@ from .errors import DepthLimit
 # kept thirds: all of {0,1,2}^2 except the middle (1,1)
 KEEP = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
 
-DEFAULT_DEPTH_LIMIT = 10
+DEPTH_LIMIT = 10
 
 Coord = Union[Fraction, int, float, str]
 
@@ -45,20 +45,20 @@ class CellSet:
         return len(self.cells)
 
 
-def subdivide(c: CellSet, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> CellSet:
+def subdivide(c: CellSet) -> CellSet:
     """Replace each cell by its eight kept thirds."""
-    if c.depth >= depth_limit:
-        raise DepthLimit(f"subdividing past depth {depth_limit}")
+    if c.depth >= DEPTH_LIMIT:
+        raise DepthLimit(f"subdividing past depth {DEPTH_LIMIT}")
     cells = frozenset(
         (3 * i + di, 3 * j + dj) for i, j in c.cells for di, dj in KEEP
     )
     return CellSet(c.depth + 1, cells)
 
 
-def approximant(depth: int, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> CellSet:
+def approximant(depth: int) -> CellSet:
     c = CellSet.full()
     for _ in range(depth):
-        c = subdivide(c, depth_limit)
+        c = subdivide(c)
     return c
 
 

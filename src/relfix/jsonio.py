@@ -25,8 +25,6 @@ KNOWN_KINDS = (
     "algebra",
     "transition-system",
     "prefix",
-    "term-pair",
-    "query",
 )
 
 

@@ -5,8 +5,8 @@ state count works; up to 64 states this is a single machine word).  The
 least solution above a post-fixed start is the cumulative join chain, the
 greatest solution below a pre-fixed start the cumulative meet chain; both
 stabilize within |S| steps.  The safety check runs both chains in lockstep
-and reports the first inclusion that fails.  An operator built from a
-successor relation preserves unions, so it has a right adjoint, the
+and reports the first inclusion that fails.  Every operator is the successor
+image of a relation; it preserves unions, so it has a right adjoint, the
 next-time operator `box_mask`.
 """
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import NotPostFixed, NotPreFixed
-
-MONOTONE_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -54,72 +52,21 @@ class TransitionSystem:
 
 
 class MonotoneOp:
-    """A monotone operator on subsets of a fixed finite state set."""
+    """The successor image of a relation on a fixed finite state set:
+    F(X) = union of successors over X.  It preserves unions, so it is
+    monotone and has a right adjoint, `box_mask`."""
 
-    def __init__(self, states: tuple[str, ...], succ_masks=None, table=None):
+    def __init__(self, states: Iterable[str], successors: Mapping[str, Iterable[str]]):
         self.states = tuple(states)
         self._index = {s: i for i, s in enumerate(self.states)}
-        self._succ_masks = succ_masks
-        self._table = table
+        self._succ_masks = [self.mask_of(successors[x]) for x in self.states]
         # galois_check repeats each start mask over every pre-fixed partner
         self._mu_cache: dict[int, int] = {}
         self._nu_cache: dict[int, int] = {}
 
     @classmethod
-    def from_successors(
-        cls, states: Iterable[str], successors: Mapping[str, Iterable[str]]
-    ) -> "MonotoneOp":
-        """F(X) = union of successors over X; monotone by construction."""
-        states = tuple(states)
-        index = {s: i for i, s in enumerate(states)}
-        succ_masks = []
-        for x in states:
-            m = 0
-            for y in successors[x]:
-                m |= 1 << index[y]
-            succ_masks.append(m)
-        return cls(states, succ_masks=succ_masks)
-
-    @classmethod
     def from_transition_system(cls, ts: TransitionSystem) -> "MonotoneOp":
-        return cls.from_successors(ts.states, ts.delta)
-
-    @classmethod
-    def from_table(
-        cls, states: Iterable[str], table: Mapping[frozenset, Iterable[str]]
-    ) -> "MonotoneOp":
-        """An operator given pointwise on all subsets.
-
-        Monotonicity is verified exhaustively up to 4 states and by seeded
-        random sampling of MONOTONE_SAMPLES comparable pairs beyond that.
-        """
-        states = tuple(states)
-        index = {s: i for i, s in enumerate(states)}
-        n = len(states)
-        masked: dict[int, int] = {}
-        for subset, image in table.items():
-            k = 0
-            for s in subset:
-                k |= 1 << index[s]
-            m = 0
-            for s in image:
-                m |= 1 << index[s]
-            masked[k] = m
-        if len(masked) != 1 << n:
-            raise ValueError("table must cover every subset exactly once")
-        if n <= 4:
-            for a in range(1 << n):
-                for b in range(1 << n):
-                    if a | b == b and masked[a] | masked[b] != masked[b]:
-                        raise ValueError("table is not monotone")
-        else:
-            rng = random.Random(0)
-            for _ in range(MONOTONE_SAMPLES):
-                b = rng.randrange(1 << n)
-                a = b & rng.randrange(1 << n)
-                if masked[a] | masked[b] != masked[b]:
-                    raise ValueError("table is not monotone")
-        return cls(states, table=masked)
+        return cls(ts.states, ts.delta)
 
     def mask_of(self, subset: Iterable[str]) -> int:
         m = 0
@@ -133,21 +80,17 @@ class MonotoneOp:
         return frozenset(s for i, s in enumerate(self.states) if mask >> i & 1)
 
     def apply_mask(self, mask: int) -> int:
-        if self._succ_masks is not None:
-            out = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                out |= self._succ_masks[low.bit_length() - 1]
-                rest ^= low
-            return out
-        return self._table[mask]
+        out = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            out |= self._succ_masks[low.bit_length() - 1]
+            rest ^= low
+        return out
 
     def box_mask(self, mask: int) -> int:
         """The right adjoint of apply_mask: the states whose successors all
         lie in mask, so apply_mask(x) <= u exactly when x <= box_mask(u)."""
-        if self._succ_masks is None:
-            raise ValueError("a table operator need not preserve unions: no right adjoint")
         out = 0
         for i, need in enumerate(self._succ_masks):
             if need | mask == mask:
@@ -223,7 +166,7 @@ def random_system(rng: random.Random, max_states: int, density: float) -> Transi
     delta = {
         x: frozenset(y for y in states if rng.random() < density) for x in states
     }
-    op = MonotoneOp.from_successors(states, delta)
+    op = MonotoneOp(states, delta)
     init = op.mask_of(x for x in states if rng.random() < 0.5)
     while init & ~op.apply_mask(init):
         init &= op.apply_mask(init)

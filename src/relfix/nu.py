@@ -226,9 +226,7 @@ def count_coalg_homs_to_nu(
 
 def _successor_op(coalg: FinCoalgebra) -> MonotoneOp:
     """The successor image of a machine; next-time is its right adjoint."""
-    return MonotoneOp.from_successors(
-        coalg.states, {x: args for x, (_, args) in coalg.step.items()}
-    )
+    return MonotoneOp(coalg.states, {x: args for x, (_, args) in coalg.step.items()})
 
 
 def next_time(coalg: FinCoalgebra, u: Iterable[str]) -> frozenset[str]:

@@ -193,7 +193,7 @@ def validate_term(sig: Signature, t: Term) -> None:
 _TOKEN = re.compile(r"[A-Za-z0-9_]+")
 
 
-def parse_term(sig: Signature, text: str, validate: bool = True) -> Term:
+def parse_term(sig: Signature, text: str) -> Term:
     """Parse `op(arg1,...,argk)` syntax; bare identifiers are variables.
 
     A bare identifier that names a signature symbol is read as a nullary
@@ -238,8 +238,7 @@ def parse_term(sig: Signature, text: str, validate: bool = True) -> Term:
         if not frames:
             if pos < n:
                 raise ParseError(f"unexpected trailing character {text[pos]!r}", pos)
-            if validate:
-                validate_term(sig, result)
+            validate_term(sig, result)
             return result
         if pos >= n:
             raise ParseError("unexpected end of input, expected ',' or ')'", pos)

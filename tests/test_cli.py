@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 
 from cases import acyclic_pq, chk_loop, empty_machine, flip_algebra, three_state_automaton
-from relfix import jsonio
 from relfix.cli import main
+from relfix import cli, jsonio
 from relfix.errors import SchemaError
+from relfix.finstruct import FinAlgebra, FinCoalgebra
 from relfix.lattice import TransitionSystem
 from relfix.nu import TreePrefix
+from relfix.sigterm import Signature
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "scripts" / "data"
@@ -358,6 +360,51 @@ def test_deep_nu_enum_is_refused_by_its_budget():
     assert proc.stderr == "error: enumeration of size 1001 exceeds budget 1000\n"
 
 
+def long_chain_files(tmp_path, n=1500):
+    """s_i = chk(s_(i+1)) with s_(n-1) = nil, declared from the nil end, and
+    the algebra on {0, 1} where chk flips and nil is 0."""
+    sig = Signature((("chk", 1), ("nil", 0)))
+    states = tuple(f"s{i}" for i in reversed(range(n)))
+    step = {f"s{i}": ("chk", (f"s{i + 1}",)) for i in range(n - 1)}
+    step[f"s{n - 1}"] = ("nil", ())
+    alg = FinAlgebra(
+        sig, ("0", "1"),
+        {("chk", ("0",)): "1", ("chk", ("1",)): "0", ("nil", ()): "0"},
+    )
+    machine, algebra = tmp_path / "chain.json", tmp_path / "flip_nil.json"
+    machine.write_text(jsonio.canonical_dumps(
+        jsonio.coalgebra_to_json(FinCoalgebra(sig, states, step))
+    ))
+    algebra.write_text(jsonio.canonical_dumps(jsonio.algebra_to_json(alg)))
+    return machine, algebra
+
+
+def test_long_wellfounded_chain_has_one_solution(tmp_path):
+    machine, algebra = long_chain_files(tmp_path)
+    proc = run_process("hylo", machine, algebra)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"count": 1}
+
+
+def test_long_wellfounded_chain_is_recursive(tmp_path):
+    machine, _ = long_chain_files(tmp_path)
+    proc = run_process("recursive", machine, "--max-carrier", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["recursive"] is True
+
+
+def test_memory_error_is_an_input_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_safety", exhausted)
+    code = main(["safety", str(DATA / "chain_safe.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_deep_carpet_member_is_answered():
     proc = run_process("carpet-member", "0", "0", "--depth", "5000")
     assert proc.returncode == 0
@@ -448,11 +495,10 @@ def test_load_problem_reports_kind(tmp_path):
     assert jsonio.load_problem(DATA / "flip_algebra.json").kind == "algebra"
     assert jsonio.load_problem(DATA / "chain_safe.json").kind == "transition-system"
     f = tmp_path / "q.json"
-    f.write_text(json.dumps({"format": 1, "kind": "query", "body": "anything"}))
-    assert jsonio.load_problem(f).payload["body"] == "anything"
-    f.write_text(json.dumps({"format": 1, "kind": "mystery"}))
-    with pytest.raises(SchemaError):
-        jsonio.load_problem(f)
+    for kind in ("query", "term-pair", "mystery"):
+        f.write_text(json.dumps({"format": 1, "kind": kind, "body": "anything"}))
+        with pytest.raises(SchemaError):
+            jsonio.load_problem(f)
 
 
 def test_loader_message_names_offending_file(tmp_path):

@@ -138,19 +138,13 @@ class TestBox:
         assert any(not args for _, args in steps)
         assert any(len(set(args)) < len(args) for _, args in steps)
         for b in machines:
-            op = MonotoneOp.from_successors(b.states, {x: b.successors(x) for x in b.states})
+            op = MonotoneOp(b.states, {x: b.successors(x) for x in b.states})
             masks = range(1 << len(b.states))
             image = [op.apply_mask(x) for x in masks]
             box = [op.box_mask(u) for u in masks]
             for x in masks:
                 for u in masks:
                     assert (image[x] & ~u == 0) == (x & ~box[u] == 0)
-
-    def test_table_operator_has_no_box(self):
-        states = ("a", "b")
-        op = MonotoneOp.from_table(states, {s: s for s in all_subsets(states)})
-        with pytest.raises(ValueError):
-            op.box_mask(0b01)
 
 
 class TestRandomSystem:
@@ -162,33 +156,6 @@ class TestRandomSystem:
             assert 1 <= len(ts.states) <= max_states
             assert ts.init <= frozenset(y for x in ts.init for y in ts.delta[x])
             assert frozenset(y for x in ts.safe for y in ts.delta[x]) <= ts.safe
-
-
-class TestTableOps:
-    def test_identity_table(self):
-        states = ("a", "b")
-        table = {s: s for s in all_subsets(states)}
-        op = MonotoneOp.from_table(states, table)
-        assert f_apply(op, {"a"}) == frozenset({"a"})
-        assert mu_post(op, {"a"}) == frozenset({"a"})
-        assert nu_pre(op, {"b"}) == frozenset({"b"})
-
-    def test_non_monotone_rejected_exhaustively(self):
-        states = ("a",)
-        table = {frozenset(): frozenset({"a"}), frozenset({"a"}): frozenset()}
-        with pytest.raises(ValueError):
-            MonotoneOp.from_table(states, table)
-
-    def test_non_monotone_rejected_by_sampling(self):
-        states = tuple("abcde")
-        universe = frozenset(states)
-        table = {s: universe - s for s in all_subsets(states)}
-        with pytest.raises(ValueError):
-            MonotoneOp.from_table(states, table)
-
-    def test_incomplete_table_rejected(self):
-        with pytest.raises(ValueError):
-            MonotoneOp.from_table(("a",), {frozenset(): frozenset()})
 
 
 class TestSafety:

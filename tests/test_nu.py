@@ -220,7 +220,7 @@ class TestNextTime:
 
     def test_packaged_operator_matches_function(self):
         b = cases.three_state_automaton()
-        op = MonotoneOp.from_successors(b.states, {x: b.successors(x) for x in b.states})
+        op = MonotoneOp(b.states, {x: b.successors(x) for x in b.states})
         for u in ((), ("q2",), b.states):
             assert op.set_of(op.box_mask(op.mask_of(u))) == next_time(b, u)
 
