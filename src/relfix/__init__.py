@@ -57,7 +57,7 @@ from .lattice import (
     nu_pre,
     safety_check,
 )
-from .mu import MuPresentation, mu_equal, mu_hom_count, mu_presentation, unfold_once
+from .mu import mu_equal, mu_hom_count, mu_presentation, unfold_once
 from .nu import (
     RationalTree,
     TreePrefix,

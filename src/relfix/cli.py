@@ -54,13 +54,13 @@ def _cmd_mu_eq(args) -> int:
     coalg = load_coalgebra(args.coalgebra)
     lhs = parse_term(coalg.sig, args.lhs)
     rhs = parse_term(coalg.sig, args.rhs)
-    pres = mu_presentation(coalg)
+    eqs = mu_presentation(coalg)
     _emit(
         {
             "result": "equal" if mu_equal(coalg, lhs, rhs) else "distinct",
             "lhs": str(lhs),
             "rhs": str(rhs),
-            "generators": [f"{s} = {t}" for s, t in pres.eqs.equations],
+            "generators": [f"{s} = {t}" for s, t in eqs.equations],
         }
     )
     return 0

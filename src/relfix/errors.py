@@ -55,7 +55,7 @@ class BudgetExceeded(RelfixError):
 
 
 class BoundExceeded(RelfixError):
-    """Exhaustive subset search requested beyond the supported state bound."""
+    """A request exceeds a fixed size bound; the message names the quantity."""
 
 
 class NotCaMorphism(RelfixError):

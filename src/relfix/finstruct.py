@@ -105,12 +105,10 @@ class FinAlgebra:
             raise ValueError(f"default {self.default!r} is not a carrier element")
 
     def app(self, op: str, args: tuple[str, ...]) -> str:
-        try:
-            return self.table[(op, args)]
-        except KeyError:
-            if self.default is None:
-                raise ValueError(f"no interpretation for {op}{args}") from None
-            return self.default
+        out = self.table.get((op, args), self.default)
+        if out is None:
+            raise ValueError(f"no interpretation for {op}{args}")
+        return out
 
 
 def eval_term(alg: FinAlgebra, env: Mapping[str, str], t: Term) -> str:

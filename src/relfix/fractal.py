@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DepthLimit
+from .errors import BoundExceeded, DepthLimit
 
 # kept thirds: all of {0,1,2}^2 except the middle (1,1)
 KEEP = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
 
 DEPTH_LIMIT = 10
+# largest render side: the raster holds res * res bytes
+RES_LIMIT = 4096
 
 Coord = Union[Fraction, int, float, str]
 
@@ -103,6 +105,8 @@ def render(depth: int, res: int) -> bytes:
     inside pixels are byte 0, outside 255."""
     if res <= 0:
         raise ValueError("resolution must be positive")
+    if res > RES_LIMIT:
+        raise BoundExceeded(f"res {res} exceeds the render bound {RES_LIMIT}")
     # v -> 1 - v swaps base-3 digits 0 and 2 and keeps the cuts, so row r
     # counted from the top has the mask of column r
     masks = [_middle_levels(Fraction(2 * i + 1, 2 * res), depth) for i in range(res)]

@@ -8,17 +8,16 @@ the recursion square, which gives the hom-count below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import NotCaMorphism, UnboundVariable
+from .errors import UnboundVariable
 from .finstruct import (
     DEFAULT_BUDGET,
+    CaMorphism,
     FinAlgebra,
     FinCoalgebra,
     enumerate_hylo,
     eval_term,
-    is_ca_morphism,
 )
 from .sigterm import (
     CongruenceClosure,
@@ -30,23 +29,12 @@ from .sigterm import (
 )
 
 
-@dataclass(frozen=True)
-class MuPresentation:
-    """Generators (the states) and relations x = step(x) of the least solution."""
-
-    base: FinCoalgebra
-    eqs: EquationSet
-
-    def closure(self) -> CongruenceClosure:
-        return CongruenceClosure(self.eqs)
-
-
-def mu_presentation(coalg: FinCoalgebra) -> MuPresentation:
-    eqs = EquationSet(
+def mu_presentation(coalg: FinCoalgebra) -> EquationSet:
+    """The relations x = step(x) of the least solution, one per state."""
+    return EquationSet(
         coalg.sig,
         tuple((var(x), coalg.step_term(x)) for x in coalg.states),
     )
-    return MuPresentation(coalg, eqs)
 
 
 def _check_term_over(coalg: FinCoalgebra, t: Term) -> None:
@@ -61,7 +49,7 @@ def mu_equal(coalg: FinCoalgebra, s: Term, t: Term) -> bool:
     """Are s and t identified in the presented quotient?"""
     _check_term_over(coalg, s)
     _check_term_over(coalg, t)
-    return mu_presentation(coalg).closure().equal(s, t)
+    return CongruenceClosure(mu_presentation(coalg)).equal(s, t)
 
 
 def unfold_once(coalg: FinCoalgebra, t: Term) -> Term:
@@ -87,9 +75,7 @@ def mu_soundness_check(
 ) -> bool:
     """Identified terms evaluate equally under any solution f; returns that
     comparison, which the library promises to be true."""
-    f = getattr(f, "mapping", f)
-    if not is_ca_morphism(coalg, alg, f):
-        raise NotCaMorphism("the given map does not solve the square")
+    f = CaMorphism(coalg, alg, getattr(f, "mapping", f)).mapping
     if not mu_equal(coalg, s, t):
         raise ValueError("the two terms are not identified by the presentation")
     return eval_term(alg, f, s) == eval_term(alg, f, t)

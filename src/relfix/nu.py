@@ -14,18 +14,13 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping
 
-from .errors import (
-    BijectionViolation,
-    BoundExceeded,
-    BudgetExceeded,
-    NotCaMorphism,
-)
+from .errors import BijectionViolation, BoundExceeded, BudgetExceeded
 from .finstruct import (
     DEFAULT_BUDGET,
+    CaMorphism,
     FinAlgebra,
     FinCoalgebra,
     enumerate_hylo,
-    is_ca_morphism,
 )
 from .lattice import MonotoneOp
 from .sigterm import Signature
@@ -53,11 +48,6 @@ class TreePrefix:
     @property
     def is_leaf(self) -> bool:
         return self.op is None
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max((c.depth() for c in self.children), default=0)
 
     def truncate(self, depth: int) -> "TreePrefix":
         """Cut the prefix to the given depth; cut points become leaves."""
@@ -192,10 +182,7 @@ def coextension(
     coalg: FinCoalgebra, alg: FinAlgebra, f: Mapping[str, str], start: str
 ) -> RationalTree:
     """The guided tree a solution f spreads out from a chosen state."""
-    f = getattr(f, "mapping", f)
-    if not is_ca_morphism(coalg, alg, f):
-        raise NotCaMorphism("the given map does not solve the square")
-    return RationalTree(coalg, dict(f), start)
+    return RationalTree(coalg, CaMorphism(coalg, alg, getattr(f, "mapping", f)).mapping, start)
 
 
 def count_coalg_homs_to_nu(
@@ -269,12 +256,11 @@ def cartesian_subcoalgebras(coalg: FinCoalgebra, bound: int = 16) -> list[tuple[
 
 @lru_cache(maxsize=None)
 def meet_algebra(sig: Signature) -> FinAlgebra:
-    """Carrier {0,1}; every symbol is the meet of its arguments (nullary: 1)."""
-    table = {}
-    for op, arity in sig.symbols:
-        for args in product(("0", "1"), repeat=arity):
-            table[(op, args)] = "1" if all(a == "1" for a in args) else "0"
-    return FinAlgebra(sig, ("0", "1"), table)
+    """Carrier {0,1}; every symbol is the meet of its arguments (nullary: 1).
+
+    Only all-ones rows are stored, so an arity-k symbol costs one row, not 2^k."""
+    table = {(op, ("1",) * arity): "1" for op, arity in sig.symbols}
+    return FinAlgebra(sig, ("0", "1"), table, default="0")
 
 
 def classify_cartesian(

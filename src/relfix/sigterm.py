@@ -47,10 +47,6 @@ class Signature:
         except KeyError:
             raise UnknownSymbol(name) from None
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.symbols)
-
 
 class Term:
     """A node of the shared term DAG.
@@ -99,20 +95,7 @@ class Term:
 
     def variables(self) -> tuple[str, ...]:
         """Variable names in first-occurrence order (left to right)."""
-        out: list[str] = []
-        seen: set[int] = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.node_id in seen:
-                continue
-            seen.add(node.node_id)
-            if node.is_var:
-                if node.op not in out:
-                    out.append(node.op)
-            else:
-                stack.extend(reversed(node.args))
-        return tuple(out)
+        return tuple(dict.fromkeys(n.op for n in postorder(self) if n.is_var))
 
 
 _intern: dict[tuple, Term] = {}
@@ -282,7 +265,6 @@ class CongruenceClosure:
     """
 
     def __init__(self, eqs: EquationSet):
-        self.eqs = eqs
         self._parent: dict[int, int] = {}
         self._use: dict[int, list[Term]] = {}
         self._sigtab: dict[tuple, Term] = {}

@@ -61,6 +61,23 @@ def naive_congruence_decide(eqs: EquationSet, s: Term, t: Term) -> bool:
     return label[s.node_id] == label[t.node_id]
 
 
+def naive_variables(t: Term) -> tuple[str, ...]:
+    """Variable names in first-occurrence order, by a plain recursive
+    left-to-right walk that revisits shared subterms."""
+    out: list[str] = []
+
+    def walk(u: Term) -> None:
+        if u.args is None:
+            if u.op not in out:
+                out.append(u.op)
+            return
+        for a in u.args:
+            walk(a)
+
+    walk(t)
+    return tuple(out)
+
+
 def rewrite_reachable(eqs: EquationSet, t: Term, steps: int) -> set[Term]:
     """Terms reachable from t by at most `steps` rewrites, both directions."""
     pairs = [(l, r) for l, r in eqs.equations] + [(r, l) for l, r in eqs.equations]

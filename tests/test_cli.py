@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from relfix.cli import main
 from relfix import cli, jsonio
 from relfix.errors import SchemaError
 from relfix.finstruct import FinAlgebra, FinCoalgebra
+from relfix.fractal import RES_LIMIT
 from relfix.lattice import TransitionSystem
 from relfix.nu import TreePrefix
 from relfix.sigterm import Signature
@@ -443,6 +445,27 @@ def test_unwritable_out_is_an_input_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_sierpinski_res_over_bound_is_refused(capsys, tmp_path):
+    out = tmp_path / "carpet.pgm"
+    code, body = run(capsys, "sierpinski", "--depth", "1", "--res", RES_LIMIT + 1, "--out", out)
+    assert (code, body) == (1, None)
+    assert not out.exists()
+
+
+def test_cartesian_ignores_unused_wide_symbol(tmp_path):
+    # the meet algebra must not tabulate 2^30 rows for the unused symbol p
+    sig = Signature((("c", 0), ("p", 30)))
+    f = tmp_path / "wide.json"
+    f.write_text(jsonio.canonical_dumps(
+        jsonio.coalgebra_to_json(FinCoalgebra(sig, ("q",), {"q": ("c", ())}))
+    ))
+    start = time.perf_counter()
+    proc = run_process("cartesian", f, "--classify")
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["fixed_points"] == [["q"]]
 
 
 def test_output_is_deterministic(capsys):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from relfix.errors import DepthLimit
+from relfix.errors import BoundExceeded, DepthLimit
 from relfix.fractal import (
     KEEP,
+    RES_LIMIT,
     BoundaryPoint,
     CellSet,
     approximant,
@@ -144,6 +145,12 @@ class TestRender:
         path = tmp_path / "carpet.pgm"
         with pytest.raises(ValueError):
             write_pgm(path, -1, 3)
+        assert not path.exists()
+
+    def test_res_over_bound_writes_no_file(self, tmp_path):
+        path = tmp_path / "carpet.pgm"
+        with pytest.raises(BoundExceeded, match="res"):
+            write_pgm(path, 1, RES_LIMIT + 1)
         assert not path.exists()
 
     @pytest.mark.parametrize("depth", range(4))

@@ -27,7 +27,7 @@ def meet_binary() -> FinAlgebra:
 class TestPresentation:
     def test_three_state_generators(self):
         pres = mu_presentation(cases.three_state_automaton())
-        got = [(str(l), str(r)) for l, r in pres.eqs.equations]
+        got = [(str(l), str(r)) for l, r in pres.equations]
         assert got == [
             ("q0", "cross(q1,q2)"),
             ("q1", "cross(q0,q1)"),
@@ -35,12 +35,12 @@ class TestPresentation:
         ]
 
     def test_empty_machine_empty_presentation(self):
-        assert mu_presentation(cases.empty_machine()).eqs.equations == ()
+        assert mu_presentation(cases.empty_machine()).equations == ()
 
     def test_nullary_step(self):
         b = FinCoalgebra(cases.CS, ("q",), {"q": ("c", ())})
         pres = mu_presentation(b)
-        assert [(str(l), str(r)) for l, r in pres.eqs.equations] == [("q", "c()")]
+        assert [(str(l), str(r)) for l, r in pres.equations] == [("q", "c()")]
 
 
 class TestWordProblem:
@@ -49,7 +49,7 @@ class TestWordProblem:
         lhs = var("q0")
         rhs = parse_term(cases.BINARY, "cross(cross(q0,q1),chk(q2,q2))")
         assert mu_equal(b, lhs, rhs) is True
-        eqs = mu_presentation(b).eqs
+        eqs = mu_presentation(b)
         assert naive_congruence_decide(eqs, lhs, rhs) is True
         assert rhs in rewrite_reachable(eqs, lhs, 4)
 
@@ -129,7 +129,7 @@ class TestSoundness:
     def test_randomized_rewrites_stay_sound(self):
         rng = random.Random(11)
         b, a = cases.three_state_automaton(), meet_binary()
-        eqs = mu_presentation(b).eqs
+        eqs = mu_presentation(b)
         solutions = enumerate_hylo(b, a)
         for _ in range(25):
             start = var(rng.choice(b.states))

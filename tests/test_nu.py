@@ -289,6 +289,15 @@ class TestMeetAlgebra:
         alg = meet_algebra(cases.CS)
         assert alg.app("c", ()) == "1"
 
+    def test_one_row_per_symbol(self):
+        sig = Signature(tuple((f"m{k}", k) for k in range(5)))
+        alg = meet_algebra(sig)
+        assert len(alg.table) == len(sig.symbols)
+        for op, arity in sig.symbols:
+            for args in product(("0", "1"), repeat=arity):
+                want = "1" if all(a == "1" for a in args) else "0"
+                assert alg.app(op, args) == want, (op, args)
+
 
 class TestClassify:
     def test_single_loop_pairs(self):

@@ -20,7 +20,7 @@ from relfix.sigterm import (
     var,
 )
 
-from oracles import naive_congruence_decide, rewrite_reachable
+from oracles import naive_congruence_decide, naive_variables, rewrite_reachable
 
 UNARY = Signature((("chk", 1), ("cross", 1)))
 BINARY = Signature((("cross", 2), ("chk", 2)))
@@ -242,6 +242,22 @@ def _terms(max_depth: int):
 _eq_systems = st.lists(st.tuples(_vars.map(var), _terms(3)), max_size=4).map(
     lambda eqs: EquationSet(MIXED, tuple(eqs))
 )
+
+
+# binary nodes that repeat one argument share that subterm in the store
+_shared_terms = st.recursive(
+    _vars.map(var) | st.just(app("c")),
+    lambda sub: st.builds(lambda a: app("g", (a,)), sub)
+    | st.builds(lambda a, b: app("f", (a, b)), sub, sub)
+    | st.builds(lambda a: app("f", (a, a)), sub),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shared_terms)
+def test_variables_match_naive_walk(t):
+    assert t.variables() == naive_variables(t)
 
 
 class TestCongruenceProperties:
