@@ -21,6 +21,8 @@ KEEP = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
 DEPTH_LIMIT = 10
 # largest render side: the raster holds res * res bytes
 RES_LIMIT = 4096
+# largest res * depth: a render takes that many base-3 digit steps
+STEP_LIMIT = 2**21
 
 Coord = Union[Fraction, int, float, str]
 
@@ -107,6 +109,8 @@ def render(depth: int, res: int) -> bytes:
         raise ValueError("resolution must be positive")
     if res > RES_LIMIT:
         raise BoundExceeded(f"res {res} exceeds the render bound {RES_LIMIT}")
+    if res * depth > STEP_LIMIT:
+        raise BoundExceeded(f"res * depth {res * depth} exceeds the render bound {STEP_LIMIT}")
     # v -> 1 - v swaps base-3 digits 0 and 2 and keeps the cuts, so row r
     # counted from the top has the mask of column r
     masks = [_middle_levels(Fraction(2 * i + 1, 2 * res), depth) for i in range(res)]

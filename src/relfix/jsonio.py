@@ -53,11 +53,23 @@ def load_json(path) -> dict:
     return obj
 
 
-def _check_header(obj: dict, kind: str, where: str) -> None:
+def _load(path, kind: str | None) -> dict:
+    """Read a problem file and check its version header, and its declared
+    kind against `kind` unless that is None."""
+    obj = load_json(path)
     if obj.get("format") != FORMAT_VERSION:
-        raise SchemaError(f"{where}: expected \"format\": {FORMAT_VERSION}")
-    if "kind" in obj and obj["kind"] != kind:
-        raise SchemaError(f"{where}: expected kind {kind!r}, found {obj['kind']!r}")
+        raise SchemaError(f"{path}: expected \"format\": {FORMAT_VERSION}")
+    if kind is not None and "kind" in obj and obj["kind"] != kind:
+        raise SchemaError(f"{path}: expected kind {kind!r}, found {obj['kind']!r}")
+    return obj
+
+
+def _construct(where: str, cls, *args):
+    """Build `cls(*args)`, reporting a ValueError as a SchemaError at `where`."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _str_list(value, where: str) -> list[str]:
@@ -78,10 +90,7 @@ def signature_from_json(obj, where: str = "signature") -> Signature:
         ):
             raise SchemaError(f"{where}: each symbol needs a string name and integer arity")
         symbols.append((entry["name"], entry["arity"]))
-    try:
-        return Signature(tuple(symbols))
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _construct(where, Signature, tuple(symbols))
 
 
 def signature_to_json(sig: Signature) -> dict:
@@ -90,9 +99,7 @@ def signature_to_json(sig: Signature) -> dict:
 
 def load_problem(path) -> ProblemFile:
     """Read any problem file, checking only the version header and the kind."""
-    obj = load_json(path)
-    if obj.get("format") != FORMAT_VERSION:
-        raise SchemaError(f"{path}: expected \"format\": {FORMAT_VERSION}")
+    obj = _load(path, None)
     kind = obj.get("kind")
     if kind not in KNOWN_KINDS:
         raise SchemaError(f"{path}: unknown kind {kind!r}")
@@ -100,14 +107,12 @@ def load_problem(path) -> ProblemFile:
 
 
 def load_signature(path) -> Signature:
-    obj = load_json(path)
-    _check_header(obj, "signature", str(path))
+    obj = _load(path, "signature")
     return signature_from_json(obj, str(path))
 
 
 def load_coalgebra(path) -> FinCoalgebra:
-    obj = load_json(path)
-    _check_header(obj, "coalgebra", str(path))
+    obj = _load(path, "coalgebra")
     sig = signature_from_json(obj.get("signature"), f"{path}: signature")
     states = tuple(_str_list(obj.get("states"), f"{path}: states"))
     raw_step = obj.get("step")
@@ -119,10 +124,7 @@ def load_coalgebra(path) -> FinCoalgebra:
             raise SchemaError(f"{path}: step of {state!r} needs an \"op\" string")
         args = _str_list(entry.get("args", []), f"{path}: step of {state!r}")
         step[state] = (entry["op"], tuple(args))
-    try:
-        return FinCoalgebra(sig, states, step)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return _construct(str(path), FinCoalgebra, sig, states, step)
 
 
 def coalgebra_to_json(coalg: FinCoalgebra) -> dict:
@@ -138,8 +140,7 @@ def coalgebra_to_json(coalg: FinCoalgebra) -> dict:
 
 
 def load_algebra(path) -> FinAlgebra:
-    obj = load_json(path)
-    _check_header(obj, "algebra", str(path))
+    obj = _load(path, "algebra")
     sig = signature_from_json(obj.get("signature"), f"{path}: signature")
     carrier = tuple(_str_list(obj.get("carrier"), f"{path}: carrier"))
     raw_table = obj.get("table")
@@ -154,10 +155,7 @@ def load_algebra(path) -> FinAlgebra:
     default = obj.get("default")
     if default is not None and not isinstance(default, str):
         raise SchemaError(f"{path}: default must be a string when present")
-    try:
-        return FinAlgebra(sig, carrier, table, default)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return _construct(str(path), FinAlgebra, sig, carrier, table, default)
 
 
 def algebra_to_json(alg: FinAlgebra) -> dict:
@@ -177,8 +175,7 @@ def algebra_to_json(alg: FinAlgebra) -> dict:
 
 
 def load_transition_system(path) -> TransitionSystem:
-    obj = load_json(path)
-    _check_header(obj, "transition-system", str(path))
+    obj = _load(path, "transition-system")
     states = tuple(_str_list(obj.get("states"), f"{path}: states"))
     raw_delta = obj.get("delta")
     if not isinstance(raw_delta, dict):
@@ -189,10 +186,7 @@ def load_transition_system(path) -> TransitionSystem:
     }
     init = frozenset(_str_list(obj.get("init"), f"{path}: init"))
     safe = frozenset(_str_list(obj.get("safe"), f"{path}: safe"))
-    try:
-        return TransitionSystem(states, delta, init, safe)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return _construct(str(path), TransitionSystem, states, delta, init, safe)
 
 
 def transition_system_to_json(ts: TransitionSystem) -> dict:
@@ -218,8 +212,7 @@ def prefix_from_json(obj, where: str = "prefix") -> TreePrefix:
 
 
 def load_prefix(path) -> TreePrefix:
-    obj = load_json(path)
-    _check_header(obj, "prefix", str(path))
+    obj = _load(path, "prefix")
     return prefix_from_json(obj.get("root"), f"{path}: root")
 
 

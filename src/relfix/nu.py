@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import inf, prod
 from typing import Iterable, Mapping
 
 from .errors import BijectionViolation, BoundExceeded, BudgetExceeded
@@ -87,6 +88,33 @@ def is_a_guided(alg: FinAlgebra, prefix: TreePrefix) -> bool:
     return True
 
 
+def _build_prefixes(root, depth: int, label_of, expansions, budget) -> list[TreePrefix]:
+    """Every prefix `depth` deep from the key `root`: a shallower key expands in
+    each way `expansions[key]` lists as (op, child keys), children combined
+    lexicographically.  Levels are sized from the cutoff up first, so more than
+    `budget` nodes are refused with nothing built (an infinite budget skips it)."""
+    levels = [[root]]
+    for _ in range(depth):
+        levels.append(list(dict.fromkeys(
+            [y for key in levels[-1] for _, args in expansions[key] for y in args]
+        )))
+    cutoff = levels.pop()
+    sizes, total = dict.fromkeys(cutoff, 1), len(cutoff)
+    for keys in reversed(levels if budget < inf else ()):
+        if total > budget:
+            break
+        sizes = {key: sum([prod(map(sizes.__getitem__, args)) for _, args in expansions[key]])
+                 for key in keys}
+        total += sum(sizes.values())
+    if total > budget:
+        raise BudgetExceeded(budget + 1, budget)
+    below = {key: [TreePrefix(label_of(key))] for key in cutoff}
+    for keys in reversed(levels):
+        below = {key: [TreePrefix(label_of(key), op, kids) for op, args in expansions[key]
+                       for kids in product(*map(below.__getitem__, args))] for key in keys}
+    return below[root]
+
+
 def enum_nu_prefixes(
     alg: FinAlgebra, root: str, depth: int, budget: int = DEFAULT_BUDGET
 ) -> list[TreePrefix]:
@@ -94,39 +122,16 @@ def enum_nu_prefixes(
 
     A node at the cutoff depth stays a leaf; every shallower node is expanded
     in every way its fiber allows.  Output order follows fiber order and then
-    child combinations lexicographically.
-    """
+    child combinations lexicographically.  The budget also bounds the argument
+    tuples that tabulating the fibers visits."""
     if root not in alg.carrier:
         raise ValueError(f"root {root!r} is not a carrier element")
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    fibers = tree_fibers(alg)
-    # the labels needed at each depth below the root, then built from the cutoff up
-    needed = [[root]]
-    for _ in range(depth):
-        needed.append(list(dict.fromkeys(
-            y for label in needed[-1] for _, args in fibers[label] for y in args
-        )))
-    built = 0
-
-    def make(label: str, op: str | None, children: tuple) -> TreePrefix:
-        nonlocal built
-        built += 1
-        if built > budget:
-            raise BudgetExceeded(built, budget)
-        return TreePrefix(label, op, children)
-
-    below = {label: [make(label, None, ())] for label in needed.pop()}
-    while needed:
-        below = {
-            label: [
-                make(label, op, kids)
-                for op, args in fibers[label]
-                for kids in product(*(below[y] for y in args))
-            ]
-            for label in needed.pop()
-        }
-    return below[root]
+    tuples = sum(len(alg.carrier) ** arity for _, arity in alg.sig.symbols)
+    if tuples > budget:
+        raise BudgetExceeded(tuples, budget)
+    return _build_prefixes(root, depth, str, tree_fibers(alg), budget)  # labels are keys
 
 
 @dataclass(frozen=True)
@@ -150,13 +155,8 @@ class RationalTree:
         return self.labeling[self.start]
 
     def unfold(self, depth: int) -> TreePrefix:
-        def go(x: str, d: int) -> TreePrefix:
-            if d == 0:
-                return TreePrefix(self.labeling[x])
-            op, args = self.machine.step[x]
-            return TreePrefix(self.labeling[x], op, tuple(go(y, d - 1) for y in args))
-
-        return go(self.start, depth)
+        steps = {x: (step,) for x, step in self.machine.step.items()}
+        return _build_prefixes(self.start, depth, self.labeling.get, steps, inf)[0]
 
 
 def bisimilar(u: RationalTree, v: RationalTree) -> bool:

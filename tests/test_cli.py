@@ -330,13 +330,13 @@ def test_missing_file(capsys, tmp_path):
     assert code == 2
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=60):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     ))
     return subprocess.run(
         [sys.executable, "-m", "relfix", *map(str, argv)],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
 
 
@@ -360,6 +360,20 @@ def test_deep_nu_enum_is_refused_by_its_budget():
     )
     assert proc.returncode == 1
     assert proc.stderr == "error: enumeration of size 1001 exceeds budget 1000\n"
+
+
+def test_wide_symbol_fibers_are_refused_by_the_budget(tmp_path):
+    f = tmp_path / "wide.json"
+    f.write_text(
+        '{"format": 1, "kind": "algebra", "signature": {"symbols": [{"name": "c", "arity": 0}, '
+        '{"name": "p", "arity": 30}]}, "carrier": ["0", "1"], "default": "0", "table": '
+        '[{"op": "c", "args": [], "out": "1"}]}\n'
+    )
+    start = time.perf_counter()
+    proc = run_process("nu-enum", f, "--root", "1", "--depth", "1", "--budget", "10", timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: enumeration of size {1 + 2**30} exceeds budget 10\n"
 
 
 def long_chain_files(tmp_path, n=1500):
@@ -451,6 +465,14 @@ def test_sierpinski_res_over_bound_is_refused(capsys, tmp_path):
     out = tmp_path / "carpet.pgm"
     code, body = run(capsys, "sierpinski", "--depth", "1", "--res", RES_LIMIT + 1, "--out", out)
     assert (code, body) == (1, None)
+    assert not out.exists()
+
+
+def test_sierpinski_deep_render_is_refused(tmp_path):
+    out = tmp_path / "carpet.pgm"
+    proc = run_process("sierpinski", "--depth", "1000000", "--res", "4096", "--out", out, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: res * depth 4096000000 exceeds")
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from relfix.errors import BoundExceeded, DepthLimit
 from relfix.fractal import (
     KEEP,
     RES_LIMIT,
+    STEP_LIMIT,
     BoundaryPoint,
     CellSet,
     approximant,
@@ -152,6 +153,14 @@ class TestRender:
         with pytest.raises(BoundExceeded, match="res"):
             write_pgm(path, 1, RES_LIMIT + 1)
         assert not path.exists()
+
+    def test_digit_steps_over_bound_write_no_file(self, tmp_path):
+        path = tmp_path / "carpet.pgm"
+        with pytest.raises(BoundExceeded, match=r"res \* depth"):
+            write_pgm(path, STEP_LIMIT // 4 + 1, 4)
+        assert not path.exists()
+        # at the bound itself the render runs; v = 1/2 never lands on a cut
+        assert render(STEP_LIMIT, 1) == bytes([255])
 
     @pytest.mark.parametrize("depth", range(4))
     def test_matches_closed_cell_oracle(self, depth):

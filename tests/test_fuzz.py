@@ -1,0 +1,109 @@
+"""Malformed problem files end in an answer or a documented exit code.
+
+Each example takes one of the sample files in scripts/data, applies a few
+mutations (drop a key, give a value another JSON type, rename a symbol,
+state or label), and runs it through every subcommand that reads that kind
+of file, in-process.  Replacement numbers stay small so that every run is
+quick: a wide arity still makes `recursive` run without bound (it has no
+budget on the algebras it tries), and the budgets on wide inputs have their
+own tests.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relfix.cli import main
+
+DATA = Path(__file__).resolve().parent.parent / "scripts" / "data"
+
+# argv per sample file; "{}" is replaced by the mutated file
+COMMANDS = {
+    "chain_safe.json": [["safety", "{}"], ["galois", "{}"]],
+    "chain_unsafe.json": [["safety", "{}"], ["galois", "{}", "--post", "s2", "--pre", "s0"]],
+    "flip_algebra.json": [
+        ["nu-enum", "{}", "--root", "0", "--depth", "3"],
+        ["nu-check", "{}", str(DATA / "guided_prefix.json")],
+        ["hylo", str(DATA / "two_cycle.json"), "{}", "--list"],
+    ],
+    "guided_prefix.json": [["nu-check", str(DATA / "flip_algebra.json"), "{}"]],
+    "three_state.json": [
+        ["mu-eq", "{}", "cross(q0, q1)", "q2"],
+        ["cartesian", "{}", "--classify"],
+        ["recursive", "{}", "--max-carrier", "2"],
+    ],
+    "two_cycle.json": [
+        ["hylo", "{}", str(DATA / "flip_algebra.json"), "--list"],
+        ["cartesian", "{}"],
+        ["recursive", "{}", "--max-carrier", "2"],
+    ],
+}
+SAMPLES = {name: json.loads((DATA / name).read_text()) for name in COMMANDS}
+
+NAMES = ["0", "1", "2", "q0", "q1", "s0", "s2", "chk", "cross", "", "x y"]
+# one value of each JSON type, to swap in for a value of another type
+OTHER_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(-1, 3, allow_nan=False),
+    st.sampled_from(NAMES),
+    st.lists(st.sampled_from(NAMES), max_size=2),
+    st.dictionaries(st.sampled_from(["op", "args", "label", "name"]), st.sampled_from(NAMES), max_size=2),
+)
+
+
+def _slots(doc):
+    """(container, key) for every value below the top level, in document order."""
+    stack, out = [doc], []
+    while stack:
+        node = stack.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            out.append((node, key))
+            if isinstance(value, (dict, list)):
+                stack.append(value)
+    return out
+
+
+def _mutate(doc, data) -> None:
+    slots = _slots(doc)
+    if not slots:
+        return
+    node, key = data.draw(st.sampled_from(slots))
+    how = data.draw(st.sampled_from(["drop", "retype", "rename"]))
+    value = node[key]
+    if how == "drop" and isinstance(node, dict):
+        del node[key]
+    elif how == "rename" and isinstance(value, str):
+        node[key] = data.draw(st.sampled_from(NAMES))
+    elif how == "rename" and isinstance(value, dict) and value:
+        # rename a key that names a state or label, keeping its value
+        old = data.draw(st.sampled_from(sorted(value)))
+        value[data.draw(st.sampled_from(NAMES))] = value.pop(old)
+    else:
+        node[key] = data.draw(OTHER_VALUES.filter(lambda v: type(v) is not type(value)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_sample_files_end_in_a_documented_exit(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(sorted(COMMANDS)))
+    doc = json.loads(json.dumps(SAMPLES[name]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_text(json.dumps(doc))
+    for argv in COMMANDS[name]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(path) if a == "{}" else a for a in argv])
+        assert code in (0, 1, 2, 3), (argv, doc)
+        if code in (1, 2):
+            assert err.getvalue().startswith("error:"), (argv, doc, err.getvalue())
+        assert "Traceback" not in err.getvalue()

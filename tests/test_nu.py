@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+from relfix import jsonio, nu
+from relfix.cli import main
 from relfix.errors import BoundExceeded, BudgetExceeded, NotCaMorphism
 from relfix.finstruct import FinAlgebra, FinCoalgebra, enumerate_hylo
 from relfix.lattice import MonotoneOp
@@ -113,6 +115,44 @@ class TestEnumPrefixes:
             enum_nu_prefixes(alg, "0", 5000, budget=5000)
         assert err.value.required == 5001
 
+    def test_refused_enumeration_builds_nothing(self, monkeypatch, capsys, tmp_path):
+        built = []
+
+        class CountedPrefix(TreePrefix):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(nu, "TreePrefix", CountedPrefix)
+        alg = meet_algebra(cases.BINARY)
+        with pytest.raises(BudgetExceeded) as err:
+            enum_nu_prefixes(alg, "0", 4, budget=50)
+        assert (err.value.required, str(err.value)) == (51, "enumeration of size 51 exceeds budget 50")
+        f = tmp_path / "flip.json"
+        f.write_text(jsonio.canonical_dumps(jsonio.algebra_to_json(cases.flip_algebra())))
+        code = main(["nu-enum", str(f), "--root", "0", "--depth", "2000", "--budget", "1000"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: enumeration of size 1001 exceeds budget 1000\n"
+        assert built == []
+        # inside the budget every node is built once, subtrees shared
+        assert len(enum_nu_prefixes(cases.flip_algebra(), "0", 3)) == 8
+        assert len(built) == 2 + 4 + 8 + 8
+
+    def test_fiber_tuples_count_against_the_budget(self):
+        # tabulating p would visit 2^30 argument tuples before any node
+        alg = FinAlgebra(Signature((("c", 0), ("p", 30))), ("0", "1"), {("c", ()): "1"}, "0")
+        with pytest.raises(BudgetExceeded) as err:
+            enum_nu_prefixes(alg, "1", 1, budget=10)
+        assert err.value.required == 1 + 2**30
+        # a budget of exactly the tuple count is enough: 3 + 9 for the wide
+        # tree algebra's signature, 2 + 2 for the flip algebra
+        tree = FinAlgebra(Signature((("g", 1), ("f", 2))), ("0", "1", "2"), {}, "0")
+        assert enum_nu_prefixes(tree, "0", 0, budget=12) == [leaf("0")]
+        assert enum_nu_prefixes(cases.flip_algebra(), "0", 0, budget=4) == [leaf("0")]
+        with pytest.raises(BudgetExceeded) as err:
+            enum_nu_prefixes(cases.flip_algebra(), "0", 0, budget=3)
+        assert err.value.required == 4
+
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             enum_nu_prefixes(cases.flip_algebra(), "0", -1)
@@ -148,6 +188,15 @@ class TestCoextension:
     def test_constant_stream(self):
         tree = coextension(cases.cross_loop(), cases.flip_algebra(), {"q": "1"}, "q")
         assert tree.unfold(2) == TreePrefix("1", "cross", (TreePrefix("1", "cross", (leaf("1"),)),))
+
+    def test_unfold_deeper_than_the_recursion_limit(self):
+        tree = coextension(cases.cross_loop(), cases.flip_algebra(), {"q": "1"}, "q")
+        node, depth = tree.unfold(5000), 0
+        while not node.is_leaf:
+            assert (node.label, node.op) == ("1", "cross")
+            (node,) = node.children
+            depth += 1
+        assert (depth, node.label) == (5000, "1")
 
 
 class TestBisimilar:
