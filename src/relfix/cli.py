@@ -20,6 +20,7 @@ from .finstruct import (
     FinCoalgebra,
     all_algebras,
     check_recursive_on,
+    count_algebras,
     enumerate_hylo,
     is_ca_morphism,
 )
@@ -148,6 +149,7 @@ def _cmd_cartesian(args) -> int:
 
 def _cmd_recursive(args) -> int:
     coalg = load_coalgebra(args.coalgebra)
+    count_algebras(coalg.sig, args.max_carrier, args.budget)
     tested = 0
 
     def algebras():

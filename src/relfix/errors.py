@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+from math import log10
 
 
 class RelfixError(Exception):
@@ -45,11 +46,21 @@ class SignatureMismatch(RelfixError):
     """Two structures that must share a signature do not."""
 
 
+def _size(n: int) -> str:
+    """n in decimal, or the power of ten it reaches when it has more digits
+    than int-to-str conversion accepts (4300 by default since Python 3.11)."""
+    try:
+        return str(n)
+    except ValueError:
+        e = int(log10(n))  # a float: one too high just below a power of ten
+        return f"at least 10^{e - (10**e > n)}"
+
+
 class BudgetExceeded(RelfixError):
     """An enumeration would exceed its size budget; `required` is the size it asked for."""
 
     def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration of size {required} exceeds budget {budget}")
+        super().__init__(f"enumeration of size {_size(required)} exceeds budget {_size(budget)}")
         self.required = required
         self.budget = budget
 

@@ -132,7 +132,6 @@ def _check_shared_signature(coalg: FinCoalgebra, alg: FinAlgebra) -> None:
 
 def is_ca_morphism(coalg: FinCoalgebra, alg: FinAlgebra, f: Mapping[str, str]) -> bool:
     """Does f solve f(x) = alg(op)(f(y1),...,f(yk)) at every state?"""
-    f = getattr(f, "mapping", f)
     _check_shared_signature(coalg, alg)
     carrier = set(alg.carrier)
     for x in coalg.states:
@@ -300,6 +299,32 @@ def is_algebra_morphism(src: FinAlgebra, dst: FinAlgebra, h: Mapping[str, str]) 
         if h[c] not in dst_carrier:
             return False
     return True
+
+
+def _saturating_pow(base: int, exp: int, cap: int) -> int:
+    """base**exp for base >= 1, or cap + 1 when that is larger; a power past
+    cap is never evaluated."""
+    out = 1
+    for _ in range(exp if base > 1 else 0):
+        out *= base
+        if out > cap:
+            return cap + 1
+    return out
+
+
+def count_algebras(sig: Signature, max_size: int, budget: int = DEFAULT_BUDGET) -> int:
+    """How many algebras `all_algebras` yields on the carrier sizes
+    1..max_size: size s has s^(sum of s^arity) of them.  Refuses as soon as
+    the running count passes `budget`; `required` is that count, or
+    budget + 1 when the power that passed it was not evaluated."""
+    total = 0
+    for size in range(1, max_size + 1):
+        rows = sum(_saturating_pow(size, arity, budget) for _, arity in sig.symbols)
+        tables = _saturating_pow(size, rows, budget)
+        total += tables
+        if total > budget:
+            raise BudgetExceeded(total if tables <= budget else budget + 1, budget)
+    return total
 
 
 def all_algebras(sig: Signature, size: int) -> Iterator[FinAlgebra]:

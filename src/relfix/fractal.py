@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log
 from typing import Union
 
 from .errors import BoundExceeded, DepthLimit
@@ -21,7 +22,8 @@ KEEP = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
 DEPTH_LIMIT = 10
 # largest render side: the raster holds res * res bytes
 RES_LIMIT = 4096
-# largest res * depth: a render takes that many base-3 digit steps
+# largest res * depth: a render takes that many base-3 digit steps, and the
+# most that one membership coordinate may take
 STEP_LIMIT = 2**21
 
 Coord = Union[Fraction, int, float, str]
@@ -99,6 +101,12 @@ def carpet_member(x: Coord, y: Coord, depth: int) -> bool:
         raise ValueError(f"zero denominator in ({x}, {y})") from None
     if not (0 <= fx <= 1 and 0 <= fy <= 1):
         raise ValueError("the carpet lives in the unit square")
+    for name, v in (("x", fx), ("y", fy)):
+        # v lands on a cut at digit k exactly when its denominator is 3^k
+        k = round(log(v.denominator, 3))
+        steps = min(depth, k) if 3**k == v.denominator else depth
+        if steps > STEP_LIMIT:
+            raise BoundExceeded(f"{name} needs {steps} digit steps, over the bound {STEP_LIMIT}")
     return _middle_levels(fx, depth) & _middle_levels(fy, depth) == 0
 
 

@@ -2,18 +2,18 @@
 
 Subsets are bitmasks over the declared state order (Python integers, so any
 state count works; up to 64 states this is a single machine word).  The
-least solution above a post-fixed start is the cumulative join chain, the
-greatest solution below a pre-fixed start the cumulative meet chain; both
-stabilize within |S| steps.  The safety check runs both chains in lockstep
-and reports the first inclusion that fails.  Every operator is the successor
-image of a relation; it preserves unions, so it has a right adjoint, the
-next-time operator `box_mask`.
+least solution above a post-fixed start and the greatest solution below a
+pre-fixed start are both read from one chain of iterates F^n(start), which
+stabilizes within |S| steps.  The safety check runs the two chains in
+lockstep and reports the first inclusion that fails.  Every operator is the
+successor image of a relation; it preserves unions, so it has a right
+adjoint, the next-time operator `box_mask`.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import NotPostFixed, NotPreFixed
 
@@ -100,37 +100,31 @@ class MonotoneOp:
     def _min_state(self, mask: int) -> str:
         return self.states[(mask & -mask).bit_length() - 1]
 
-    def mu_post_mask(self, mask: int) -> int:
-        cached = self._mu_cache.get(mask)
-        if cached is not None:
-            return cached
-        stray = mask & ~self.apply_mask(mask)
+    def chain(self, mask: int, upward: bool) -> Iterator[int]:
+        """The iterates F^0(mask), F^1(mask), ... up to the first one F fixes.
+        Upward, mask must be post-fixed (else NotPostFixed) and they climb to
+        the least fixed point above it; downward, pre-fixed (else NotPreFixed)
+        and they descend to the greatest fixed point below it.  The start is
+        checked when the first iterate is asked for."""
+        image = self.apply_mask(mask)
+        stray = mask & ~image if upward else image & ~mask
         if stray:
-            raise NotPostFixed(self._min_state(stray))
-        z = mask
+            raise (NotPostFixed if upward else NotPreFixed)(self._min_state(stray))
         while True:
-            nxt = z | self.apply_mask(z)
-            if nxt == z:
-                break
-            z = nxt
-        self._mu_cache[mask] = z
-        return z
+            yield mask
+            if image == mask:
+                return
+            mask, image = image, self.apply_mask(image)
+
+    def mu_post_mask(self, mask: int) -> int:
+        if mask not in self._mu_cache:
+            *_, self._mu_cache[mask] = self.chain(mask, True)
+        return self._mu_cache[mask]
 
     def nu_pre_mask(self, mask: int) -> int:
-        cached = self._nu_cache.get(mask)
-        if cached is not None:
-            return cached
-        stray = self.apply_mask(mask) & ~mask
-        if stray:
-            raise NotPreFixed(self._min_state(stray))
-        z = mask
-        while True:
-            nxt = z & self.apply_mask(z)
-            if nxt == z:
-                break
-            z = nxt
-        self._nu_cache[mask] = z
-        return z
+        if mask not in self._nu_cache:
+            *_, self._nu_cache[mask] = self.chain(mask, False)
+        return self._nu_cache[mask]
 
 
 def f_apply(op: MonotoneOp, subset: Iterable[str]) -> frozenset[str]:
@@ -139,12 +133,12 @@ def f_apply(op: MonotoneOp, subset: Iterable[str]) -> frozenset[str]:
 
 
 def mu_post(op: MonotoneOp, start: Iterable[str]) -> frozenset[str]:
-    """Least fixed point above a post-fixed start, by the join chain."""
+    """Least fixed point above a post-fixed start, by the upward chain."""
     return op.set_of(op.mu_post_mask(op.mask_of(start)))
 
 
 def nu_pre(op: MonotoneOp, start: Iterable[str]) -> frozenset[str]:
-    """Greatest fixed point below a pre-fixed start, by the meet chain."""
+    """Greatest fixed point below a pre-fixed start, by the downward chain."""
     return op.set_of(op.nu_pre_mask(op.mask_of(start)))
 
 
@@ -195,31 +189,19 @@ class SafetyVerdict:
 def safety_check(ts: TransitionSystem) -> SafetyVerdict:
     """Unfold the reach chain from init and the trim chain from safe together.
 
-    Requires init post-fixed and safe pre-fixed; under those preconditions
-    the cumulative chains coincide with the plain iterates F^n.  Stops Unsafe
-    at the first failed inclusion, Safe as soon as either chain stabilizes.
+    Requires init post-fixed and safe pre-fixed, checked in that order.
+    Stops Unsafe at the first failed inclusion, Safe as soon as either chain
+    stabilizes.
     """
     op = MonotoneOp.from_transition_system(ts)
     i_mask = op.mask_of(ts.init)
     p_mask = op.mask_of(ts.safe)
-    stray = i_mask & ~op.apply_mask(i_mask)
-    if stray:
-        raise NotPostFixed(op._min_state(stray))
-    stray = op.apply_mask(p_mask) & ~p_mask
-    if stray:
-        raise NotPreFixed(op._min_state(stray))
-    reach, trim = i_mask, p_mask
-    stage = 0
-    while True:
+    chains = zip(op.chain(i_mask, True), op.chain(p_mask, False))
+    for stage, (reach, trim) in enumerate(chains):
         out = reach & ~p_mask
         if out:
             return SafetyVerdict("unsafe", stage, UNSAFE_FORWARD, op._min_state(out))
         out = i_mask & ~trim
         if out:
             return SafetyVerdict("unsafe", stage, UNSAFE_BACKWARD, op._min_state(out))
-        next_reach = reach | op.apply_mask(reach)
-        next_trim = trim & op.apply_mask(trim)
-        if next_reach == reach or next_trim == trim:
-            return SafetyVerdict("safe", stage)
-        reach, trim = next_reach, next_trim
-        stage += 1
+    return SafetyVerdict("safe", stage)

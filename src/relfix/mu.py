@@ -75,7 +75,7 @@ def mu_soundness_check(
 ) -> bool:
     """Identified terms evaluate equally under any solution f; returns that
     comparison, which the library promises to be true."""
-    f = CaMorphism(coalg, alg, getattr(f, "mapping", f)).mapping
+    f = CaMorphism(coalg, alg, f).mapping
     if not mu_equal(coalg, s, t):
         raise ValueError("the two terms are not identified by the presentation")
     return eval_term(alg, f, s) == eval_term(alg, f, t)

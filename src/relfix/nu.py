@@ -182,7 +182,7 @@ def coextension(
     coalg: FinCoalgebra, alg: FinAlgebra, f: Mapping[str, str], start: str
 ) -> RationalTree:
     """The guided tree a solution f spreads out from a chosen state."""
-    return RationalTree(coalg, CaMorphism(coalg, alg, getattr(f, "mapping", f)).mapping, start)
+    return RationalTree(coalg, CaMorphism(coalg, alg, f).mapping, start)
 
 
 def count_coalg_homs_to_nu(

@@ -15,7 +15,7 @@ import pytest
 from cases import acyclic_pq, chk_loop, empty_machine, flip_algebra, three_state_automaton
 from relfix.cli import main
 from relfix import cli, jsonio
-from relfix.errors import SchemaError
+from relfix.errors import BudgetExceeded, SchemaError
 from relfix.finstruct import FinAlgebra, FinCoalgebra
 from relfix.fractal import RES_LIMIT
 from relfix.lattice import TransitionSystem
@@ -374,6 +374,78 @@ def test_wide_symbol_fibers_are_refused_by_the_budget(tmp_path):
     assert time.perf_counter() - start < 2
     assert proc.returncode == 1
     assert proc.stderr == f"error: enumeration of size {1 + 2**30} exceeds budget 10\n"
+
+
+def g_ring_against_successor(tmp_path):
+    """A 4100-state g-ring and the successor algebra on 12 elements: every
+    state keeps all 12 values, so the space is 12^4100."""
+    sig = Signature((("g", 1),))
+    n, size = 4100, 12
+    ring = FinCoalgebra(sig, tuple(f"x{i}" for i in range(n)),
+                        {f"x{i}": ("g", (f"x{(i + 1) % n}",)) for i in range(n)})
+    succ = FinAlgebra(sig, tuple(map(str, range(size))),
+                      {("g", (str(c),)): str((c + 1) % size) for c in range(size)})
+    machine, algebra = tmp_path / "ring.json", tmp_path / "succ.json"
+    machine.write_text(jsonio.canonical_dumps(jsonio.coalgebra_to_json(ring)))
+    algebra.write_text(jsonio.canonical_dumps(jsonio.algebra_to_json(succ)))
+    return "hylo", machine, algebra
+
+
+def arity_20000_algebra(tmp_path):
+    f = tmp_path / "wide.json"
+    f.write_text(
+        '{"format": 1, "kind": "algebra", "signature": {"symbols": [{"name": "c", "arity": 0}, '
+        '{"name": "p", "arity": 20000}]}, "carrier": ["0", "1"], "default": "0", "table": '
+        '[{"op": "c", "args": [], "out": "1"}]}\n'
+    )
+    return "nu-enum", f, "--root", "1", "--depth", "1"
+
+
+@pytest.mark.parametrize("files", [g_ring_against_successor, arity_20000_algebra])
+def test_refused_size_with_too_many_digits_exits_1(files, tmp_path):
+    # more than 4300 digits: Python 3.11 will not print the size in decimal
+    start = time.perf_counter()
+    proc = run_process(*files(tmp_path), "--budget", "10", timeout=10)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: enumeration of size ")
+    assert proc.stderr.endswith(" exceeds budget 10\n")
+
+
+def test_budget_message_names_sizes_of_any_length():
+    assert str(BudgetExceeded(144, 10)) == "enumeration of size 144 exceeds budget 10"
+    huge = 12**4100
+    assert BudgetExceeded(huge, 10).required == huge
+    try:
+        str(huge)
+    except ValueError:
+        pass
+    else:
+        pytest.skip("this interpreter prints integers of any length")
+    for n, power in ((huge, 4424), (10**4400 - 1, 4399), (10**4400, 4400)):
+        assert str(BudgetExceeded(n, 10)) == f"enumeration of size at least 10^{power} exceeds budget 10"
+
+
+def test_recursive_counts_algebras_before_building_one(tmp_path):
+    # the unused p/12 gives each 2-element algebra 2^(1 + 2^12) tables
+    sig = Signature((("c", 0), ("p", 12)))
+    f = tmp_path / "wide.json"
+    f.write_text(jsonio.canonical_dumps(
+        jsonio.coalgebra_to_json(FinCoalgebra(sig, ("q",), {"q": ("c", ())}))
+    ))
+    start = time.perf_counter()
+    proc = run_process("recursive", f, "--max-carrier", "2", timeout=10)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 1
+    assert proc.stderr == "error: enumeration of size 1000001 exceeds budget 1000000\n"
+
+
+def test_carpet_member_digit_scan_is_bounded():
+    start = time.perf_counter()
+    proc = run_process("carpet-member", "1/2", "1/2", "--depth", "50000000", timeout=10)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 1
+    assert proc.stderr == "error: x needs 50000000 digit steps, over the bound 2097152\n"
 
 
 def long_chain_files(tmp_path, n=1500):

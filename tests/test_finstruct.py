@@ -18,6 +18,7 @@ from relfix.finstruct import (
     all_algebras,
     all_coalgebras,
     check_recursive_on,
+    count_algebras,
     enumerate_hylo,
     eval_term,
     is_algebra_morphism,
@@ -240,6 +241,30 @@ class TestGenerators:
 
     def test_coalgebra_count(self):
         assert len(list(all_coalgebras(cases.UNARY, 2))) == 16
+
+    def test_algebra_count_matches_the_generator(self):
+        for sig in (cases.UNARY, cases.CS, Signature((("f", 1), ("c", 0)))):
+            expected = sum(len(list(all_algebras(sig, s))) for s in (1, 2))
+            assert count_algebras(sig, 2) == expected
+        assert count_algebras(cases.UNARY, 2) == 17
+
+    def test_algebra_count_is_refused_past_the_budget(self):
+        # 1 + 16 + 729 algebras on carriers of size 1..3
+        assert count_algebras(cases.UNARY, 3, budget=746) == 746
+        with pytest.raises(BudgetExceeded) as err:
+            count_algebras(cases.UNARY, 3, budget=745)
+        assert (err.value.required, err.value.budget) == (746, 745)
+        # 3^6 alone passes the budget: not evaluated, reported as budget + 1
+        with pytest.raises(BudgetExceeded) as err:
+            count_algebras(cases.UNARY, 3, budget=700)
+        assert err.value.required == 701
+
+    def test_wide_symbol_count_is_never_evaluated(self):
+        sig = Signature((("c", 0), ("p", 10**9)))
+        assert count_algebras(sig, 1) == 1
+        with pytest.raises(BudgetExceeded) as err:
+            count_algebras(sig, 2)
+        assert err.value.required == 10**6 + 1
 
     def test_deterministic_order(self):
         first = [a.table for a in all_algebras(cases.UNARY, 2)]

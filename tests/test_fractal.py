@@ -113,6 +113,20 @@ class TestMembership:
         with pytest.raises(ValueError):
             carpet_member("1/2", "1/2", -3)
 
+    def test_digit_scan_over_bound_is_refused(self):
+        with pytest.raises(BoundExceeded, match="y needs 5000000 digit steps"):
+            carpet_member(0, "1/2", 5_000_000)
+        # at the bound the scan still runs
+        assert carpet_member("1/2", "1/2", STEP_LIMIT) is False
+
+    def test_points_on_cuts_need_few_digit_steps(self):
+        # a reduced denominator 3^k lands the point on a cut at digit k
+        assert carpet_member(0, 1, 10**9) is True
+        assert carpet_member("1/3", "1/27", 10**9) is True
+        assert carpet_member("4/9", "4/9", 10**9) is False
+        with pytest.raises(BoundExceeded, match="x needs 1000000000 digit steps"):
+            carpet_member("1/6", 0, 10**9)
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             carpet_member("1/0", 0, 1)

@@ -158,6 +158,74 @@ class TestRandomSystem:
             assert frozenset(y for x in ts.safe for y in ts.delta[x]) <= ts.safe
 
 
+def plain_image(delta, xs) -> frozenset:
+    return frozenset(y for x in xs for y in delta[x])
+
+
+def first_state(ts: TransitionSystem, xs) -> str:
+    return next(x for x in ts.states if x in xs)
+
+
+class TestChain:
+    """MonotoneOp.chain against plain set arithmetic on random systems."""
+
+    def test_chains_against_plain_sets(self):
+        rng = random.Random(21)
+        safe_seen = 0
+        for _ in range(300):
+            ts = random_transition_system(rng)
+            op = MonotoneOp.from_transition_system(ts)
+            up = [op.set_of(m) for m in op.chain(op.mask_of(ts.init), True)]
+            down = [op.set_of(m) for m in op.chain(op.mask_of(ts.safe), False)]
+            assert up[0] == ts.init and down[0] == ts.safe
+            for chain, ascending in ((up, True), (down, False)):
+                assert len(chain) <= len(ts.states) + 1
+                for earlier, later in zip(chain, chain[1:]):
+                    assert later == plain_image(ts.delta, earlier)
+                    assert (earlier < later) if ascending else (later < earlier)
+                assert plain_image(ts.delta, chain[-1]) == chain[-1]
+            assert up[-1] == bfs_reachable(ts.delta, ts.init) == mu_post(op, ts.init)
+            assert down[-1] == nu_pre(op, ts.safe)
+            verdict = safety_check(ts)
+            if verdict.is_safe:
+                safe_seen += 1
+                assert verdict.stage == min(len(up), len(down)) - 1
+        assert safe_seen > 100
+
+    def test_bad_starts_raise_alike_everywhere(self):
+        rng = random.Random(22)
+        seen = {NotPostFixed: 0, NotPreFixed: 0}
+        for _ in range(300):
+            ts = random_transition_system(rng)
+            op = MonotoneOp.from_transition_system(ts)
+            init = frozenset(x for x in ts.states if rng.random() < 0.5)
+            safe = frozenset(x for x in ts.states if rng.random() < 0.5)
+            stray_init = init - plain_image(ts.delta, init)
+            stray_safe = plain_image(ts.delta, safe) - safe
+            bad = TransitionSystem(ts.states, ts.delta, init, safe)
+            for start, stray, upward, exc, fixed_point in (
+                (init, stray_init, True, NotPostFixed, mu_post),
+                (safe, stray_safe, False, NotPreFixed, nu_pre),
+            ):
+                if not stray:
+                    continue
+                seen[exc] += 1
+                witness = first_state(ts, stray)
+                with pytest.raises(exc) as err:
+                    next(op.chain(op.mask_of(start), upward))
+                assert err.value.witness == witness
+                with pytest.raises(exc) as err:
+                    fixed_point(op, start)
+                assert err.value.witness == witness
+            # safety_check reports a bad init before a bad safe set
+            if stray_init or stray_safe:
+                exc, stray = (NotPostFixed, stray_init) if stray_init else (NotPreFixed, stray_safe)
+                with pytest.raises(exc) as err:
+                    safety_check(bad)
+                assert err.value.witness == first_state(ts, stray)
+        assert min(seen.values()) > 50
+
+
 class TestSafety:
     def test_safe_chain(self):
         verdict = safety_check(chain_ts())
