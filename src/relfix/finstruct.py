@@ -160,6 +160,15 @@ class CaMorphism:
             raise NotCaMorphism("map does not satisfy the square")
 
 
+def _users(coalg: FinCoalgebra) -> dict[str, list[str]]:
+    """For each state, the states whose step mentions it, once per mention."""
+    users: dict[str, list[str]] = {x: [] for x in coalg.states}
+    for z in coalg.states:
+        for y in coalg.successors(z):
+            users[y].append(z)
+    return users
+
+
 def enumerate_hylo(
     coalg: FinCoalgebra, alg: FinAlgebra, budget: int = DEFAULT_BUDGET
 ) -> list[dict[str, str]]:
@@ -174,24 +183,22 @@ def enumerate_hylo(
     states = coalg.states
     full = len(alg.carrier) ** len(states)
     candidates = {x: list(alg.carrier) for x in states}
-    changed = True
-    while changed:
-        changed = False
-        for x in states:
-            op, args = coalg.step[x]
-            image = {
-                alg.app(op, combo)
-                for combo in product(*(candidates[y] for y in args))
-            }
-            kept = [c for c in candidates[x] if c in image]
-            if len(kept) != len(candidates[x]):
-                candidates[x] = kept
-                changed = True
+    users = _users(coalg)
+    # a state's image changes only after a successor's candidates shrank
+    work = list(states)
+    while work:
+        x = work.pop()
+        op, args = coalg.step[x]
+        image = {alg.app(op, combo) for combo in product(*(candidates[y] for y in args))}
+        kept = [c for c in candidates[x] if c in image]
+        if not kept:
+            return []
+        if len(kept) != len(candidates[x]):
+            candidates[x] = kept
+            work.extend(users[x])
     space = 1
     for x in states:
         space *= len(candidates[x])
-    if space == 0:
-        return []
     if space > budget:
         raise BudgetExceeded(full, budget)
 
@@ -234,29 +241,18 @@ def enumerate_hylo(
 
 
 def is_wellfounded(coalg: FinCoalgebra) -> bool:
-    """True iff the successor graph has no cycle."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {x: WHITE for x in coalg.states}
-    for root in coalg.states:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[str, Iterator[str]]] = [(root, iter(coalg.successors(root)))]
-        color[root] = GREY
-        while stack:
-            x, it = stack[-1]
-            advanced = False
-            for y in it:
-                if color[y] == GREY:
-                    return False
-                if color[y] == WHITE:
-                    color[y] = GREY
-                    stack.append((y, iter(coalg.successors(y))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[x] = BLACK
-                stack.pop()
-    return True
+    """True iff the successor graph has no cycle: peeling the states whose
+    successors are all peeled (the least fixed point of next-time) reaches
+    every state."""
+    users = _users(coalg)
+    pending = {x: len(coalg.successors(x)) for x in coalg.states}
+    peeled = [x for x, n in pending.items() if n == 0]
+    for x in peeled:
+        for z in users[x]:
+            pending[z] -= 1
+            if pending[z] == 0:
+                peeled.append(z)
+    return len(peeled) == len(coalg.states)
 
 
 def check_recursive_on(

@@ -92,12 +92,17 @@ def _build_prefixes(root, depth: int, label_of, expansions, budget) -> list[Tree
     """Every prefix `depth` deep from the key `root`: a shallower key expands in
     each way `expansions[key]` lists as (op, child keys), children combined
     lexicographically.  Levels are sized from the cutoff up first, so more than
-    `budget` nodes are refused with nothing built (an infinite budget skips it)."""
-    levels = [[root]]
-    for _ in range(depth):
+    `budget` nodes are refused with nothing built (an infinite budget skips it).
+    Listed keys count against the budget too: when every key expands some way,
+    each one is at least one node.  Listing stops at the first empty level."""
+    levels, listed = [[root]], 1
+    while len(levels) <= depth and levels[-1]:
         levels.append(list(dict.fromkeys(
             [y for key in levels[-1] for _, args in expansions[key] for y in args]
         )))
+        listed += len(levels[-1])
+        if listed > budget:
+            raise BudgetExceeded(budget + 1, budget)
     cutoff = levels.pop()
     sizes, total = dict.fromkeys(cutoff, 1), len(cutoff)
     for keys in reversed(levels if budget < inf else ()):
@@ -267,7 +272,10 @@ def classify_cartesian(
     coalg: FinCoalgebra, bound: int = 16, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[tuple[str, ...], dict[str, str]]]:
     """Pair each next-time fixed point P with its indicator map into the meet
-    algebra, and verify the pairing is exactly the solution set of the square."""
+    algebra, and verify the pairing is exactly the solution set of the square.
+    The budget bounds the 2^n subsets tested as well as the solution search."""
+    if 1 << len(coalg.states) > budget:
+        raise BudgetExceeded(1 << len(coalg.states), budget)
     subsets = cartesian_subcoalgebras(coalg, bound)
     alg = meet_algebra(coalg.sig)
     solutions = enumerate_hylo(coalg, alg, budget)

@@ -26,6 +26,25 @@ def flip_algebra() -> FinAlgebra:
     )
 
 
+# chk flips and nil ends a chain
+CHK_NIL = Signature((("chk", 1), ("nil", 0)))
+
+
+def chk_chain(n: int, from_head: bool = False) -> FinCoalgebra:
+    """s_i = chk(s_(i+1)) with s_(n-1) = nil, declared from the nil end or from s0."""
+    states = tuple(f"s{i}" for i in (range(n) if from_head else reversed(range(n))))
+    step = {f"s{i}": ("chk", (f"s{i + 1}",)) for i in range(n - 1)}
+    step[f"s{n - 1}"] = ("nil", ())
+    return FinCoalgebra(CHK_NIL, states, step)
+
+
+def flip_nil_algebra() -> FinAlgebra:
+    """Carrier {0,1}; chk flips and nil is 0."""
+    return FinAlgebra(
+        CHK_NIL, ("0", "1"), {("chk", ("0",)): "1", ("chk", ("1",)): "0", ("nil", ()): "0"}
+    )
+
+
 def unary_machine(steps: dict[str, tuple[str, str]]) -> FinCoalgebra:
     """Build a UNARY machine from {state: (op, successor)}."""
     return FinCoalgebra(

@@ -168,6 +168,12 @@ def bfs_reachable(delta: dict, init) -> frozenset:
     return frozenset(seen)
 
 
+def naive_wellfounded(coalg) -> bool:
+    """No state is reachable from its own successors."""
+    delta = {x: coalg.step[x][1] for x in coalg.states}
+    return not any(x in bfs_reachable(delta, delta[x]) for x in coalg.states)
+
+
 def all_subsets(states) -> list[frozenset]:
     states = list(states)
     out = []

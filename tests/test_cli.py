@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import cases
 from cases import acyclic_pq, chk_loop, empty_machine, flip_algebra, three_state_automaton
 from relfix.cli import main
 from relfix import cli, jsonio
@@ -362,6 +363,17 @@ def test_deep_nu_enum_is_refused_by_its_budget():
     assert proc.stderr == "error: enumeration of size 1001 exceeds budget 1000\n"
 
 
+def test_nu_enum_refuses_while_listing_levels():
+    start = time.perf_counter()
+    proc = run_process(
+        "nu-enum", DATA / "flip_algebra.json", "--root", "0", "--depth", "10000000",
+        "--budget", "10", timeout=10,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr == "error: enumeration of size 11 exceeds budget 10\n"
+
+
 def test_wide_symbol_fibers_are_refused_by_the_budget(tmp_path):
     f = tmp_path / "wide.json"
     f.write_text(
@@ -448,28 +460,28 @@ def test_carpet_member_digit_scan_is_bounded():
     assert proc.stderr == "error: x needs 50000000 digit steps, over the bound 2097152\n"
 
 
-def long_chain_files(tmp_path, n=1500):
-    """s_i = chk(s_(i+1)) with s_(n-1) = nil, declared from the nil end, and
-    the algebra on {0, 1} where chk flips and nil is 0."""
-    sig = Signature((("chk", 1), ("nil", 0)))
-    states = tuple(f"s{i}" for i in reversed(range(n)))
-    step = {f"s{i}": ("chk", (f"s{i + 1}",)) for i in range(n - 1)}
-    step[f"s{n - 1}"] = ("nil", ())
-    alg = FinAlgebra(
-        sig, ("0", "1"),
-        {("chk", ("0",)): "1", ("chk", ("1",)): "0", ("nil", ()): "0"},
-    )
+def long_chain_files(tmp_path, n=1500, from_head=False):
+    """The chain `cases.chk_chain(n, from_head)` and `cases.flip_nil_algebra()`."""
     machine, algebra = tmp_path / "chain.json", tmp_path / "flip_nil.json"
     machine.write_text(jsonio.canonical_dumps(
-        jsonio.coalgebra_to_json(FinCoalgebra(sig, states, step))
+        jsonio.coalgebra_to_json(cases.chk_chain(n, from_head))
     ))
-    algebra.write_text(jsonio.canonical_dumps(jsonio.algebra_to_json(alg)))
+    algebra.write_text(jsonio.canonical_dumps(jsonio.algebra_to_json(cases.flip_nil_algebra())))
     return machine, algebra
 
 
 def test_long_wellfounded_chain_has_one_solution(tmp_path):
     machine, algebra = long_chain_files(tmp_path)
     proc = run_process("hylo", machine, algebra)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"count": 1}
+
+
+def test_long_chain_declared_from_its_head_has_one_solution(tmp_path):
+    machine, algebra = long_chain_files(tmp_path, n=3000, from_head=True)
+    start = time.perf_counter()
+    proc = run_process("hylo", machine, algebra, timeout=30)
+    assert time.perf_counter() - start < 5
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"count": 1}
 
@@ -546,6 +558,20 @@ def test_sierpinski_deep_render_is_refused(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: res * depth 4096000000 exceeds")
     assert not out.exists()
+
+
+def test_cartesian_subsets_count_against_the_budget(tmp_path):
+    sig = Signature((("g", 1),))
+    states = tuple(f"r{i}" for i in range(30))
+    step = {x: ("g", (states[(i + 1) % 30],)) for i, x in enumerate(states)}
+    ring = FinCoalgebra(sig, states, step)
+    f = tmp_path / "ring30.json"
+    f.write_text(jsonio.canonical_dumps(jsonio.coalgebra_to_json(ring)))
+    start = time.perf_counter()
+    proc = run_process("cartesian", f, "--bound", "30", timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: enumeration of size {2**30} exceeds budget 1000000\n"
 
 
 def test_cartesian_ignores_unused_wide_symbol(tmp_path):

@@ -1,5 +1,6 @@
 """Machines, algebras, evaluation, and solution enumeration."""
 import random
+import time
 from itertools import islice, product
 
 import pytest
@@ -29,7 +30,8 @@ from relfix.finstruct import (
 from relfix.sigterm import Signature, app, parse_term, var
 
 import cases
-from oracles import brute_force_hylo
+from gen import random_mixed_machines
+from oracles import brute_force_hylo, naive_wellfounded
 
 
 class TestConstruction:
@@ -157,6 +159,14 @@ class TestEnumerate:
             for a in algs:
                 assert enumerate_hylo(b, a) == brute_force_hylo(b, a)
 
+    def test_long_chain_in_either_declaration_order(self):
+        want = [{f"s{i}": str((2999 - i) % 2) for i in range(3000)}]
+        for from_head in (True, False):
+            chain = cases.chk_chain(3000, from_head)
+            start = time.perf_counter()
+            assert enumerate_hylo(chain, cases.flip_nil_algebra()) == want
+            assert time.perf_counter() - start < 5
+
     def test_lexicographic_order(self):
         sig = Signature((("f", 1),))
         b = FinCoalgebra(sig, ("x", "y"), {"x": ("f", ("x",)), "y": ("f", ("y",))})
@@ -183,6 +193,18 @@ class TestWellFounded:
         # one successor per state on a finite set forces a cycle
         for b in all_coalgebras(cases.UNARY, 2):
             assert is_wellfounded(b) is False
+
+    def test_matches_reachability_on_random_machines(self):
+        machines = random_mixed_machines(11, 2000)
+        assert {is_wellfounded(b) for b in machines} == {True, False}
+        for b in machines:
+            assert is_wellfounded(b) == naive_wellfounded(b)
+
+    def test_long_chain_and_the_same_chain_closed(self):
+        chain = cases.chk_chain(10**5)
+        assert is_wellfounded(chain) is True
+        closed = dict(chain.step, s99999=("chk", ("s0",)))
+        assert is_wellfounded(FinCoalgebra(cases.CHK_NIL, chain.states, closed)) is False
 
 
 class TestRecursivity:

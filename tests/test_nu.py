@@ -77,6 +77,13 @@ class TestEnumPrefixes:
         assert enum_nu_prefixes(const, "1", 1) == []
         assert enum_nu_prefixes(const, "1", 0) == [leaf("1")]
 
+    def test_levels_past_the_first_empty_one_are_not_listed(self):
+        sig = Signature((("c", 0), ("d", 0)))
+        consts = FinAlgebra(sig, ("0", "1"), {("c", ()): "0", ("d", ()): "0"})
+        got = enum_nu_prefixes(consts, "0", 10**6, budget=3)
+        assert got == [TreePrefix("0", "c"), TreePrefix("0", "d")]
+        assert enum_nu_prefixes(consts, "1", 10**6, budget=3) == []
+
     def test_all_results_are_guided_and_prefix_closed(self):
         alg = cases.flip_algebra()
         for root in ("0", "1"):
