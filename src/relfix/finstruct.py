@@ -176,12 +176,17 @@ def enumerate_hylo(
 
     Candidate values per state are first narrowed to a fixpoint: a value
     survives at x only if some choice of surviving successor values produces
-    it.  If the surviving search space still exceeds `budget`, the
-    enumeration refuses to run rather than run long.
+    it.  When the argument tuples outnumber the algebra's stated rows, that
+    image is read from the rows instead: the outputs of the rows whose
+    arguments all survive, plus `default`, which the unstated tuples take.
+    If the surviving search space still exceeds `budget`, the enumeration
+    refuses to run rather than run long.
     """
     _check_shared_signature(coalg, alg)
     states = coalg.states
     full = len(alg.carrier) ** len(states)
+    table, get, default = alg.table, alg.table.get, alg.default
+    rows = len(table)
     candidates = {x: list(alg.carrier) for x in states}
     users = _users(coalg)
     # a state's image changes only after a successor's candidates shrank
@@ -189,7 +194,22 @@ def enumerate_hylo(
     while work:
         x = work.pop()
         op, args = coalg.step[x]
-        image = {alg.app(op, combo) for combo in product(*(candidates[y] for y in args))}
+        pools = [candidates[y] for y in args]
+        tuples = 1
+        for pool in pools:
+            tuples *= len(pool)
+            if tuples > rows:
+                break
+        if tuples <= rows:
+            image = {get((op, combo), default) for combo in product(*pools)}
+        else:
+            # more tuples than rows, so some tuple is unstated and takes the
+            # default (which exists: a table without one states every tuple)
+            sets = [set(pool) for pool in pools]
+            image = {default}
+            for (row_op, row), out in table.items():
+                if row_op == op and out not in image and all(map(set.__contains__, sets, row)):
+                    image.add(out)
         kept = [c for c in candidates[x] if c in image]
         if not kept:
             return []
@@ -204,12 +224,13 @@ def enumerate_hylo(
 
     index = {x: i for i, x in enumerate(states)}
     # the square at z is checkable once z and all its successors are assigned
-    ready: list[list[str]] = [[] for _ in states]
+    ready: list[list[tuple[str, str, tuple[str, ...]]]] = [[] for _ in states]
     for z in states:
+        op, args = coalg.step[z]
         slot = index[z]
-        for y in coalg.step[z][1]:
+        for y in args:
             slot = max(slot, index[y])
-        ready[slot].append(z)
+        ready[slot].append((z, op, args))
 
     if not states:
         return [{}]
@@ -223,9 +244,8 @@ def enumerate_hylo(
         for c in stack[i]:
             assignment[x] = c
             ok = True
-            for z in ready[i]:
-                op, args = coalg.step[z]
-                if assignment[z] != alg.app(op, tuple(assignment[y] for y in args)):
+            for z, op, args in ready[i]:
+                if assignment[z] != get((op, tuple([assignment[y] for y in args])), default):
                     ok = False
                     break
             if ok:

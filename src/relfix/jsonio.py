@@ -86,7 +86,7 @@ def signature_from_json(obj, where: str = "signature") -> Signature:
         if (
             not isinstance(entry, dict)
             or not isinstance(entry.get("name"), str)
-            or not isinstance(entry.get("arity"), int)
+            or type(entry.get("arity")) is not int  # a bool is an int subclass
         ):
             raise SchemaError(f"{where}: each symbol needs a string name and integer arity")
         symbols.append((entry["name"], entry["arity"]))

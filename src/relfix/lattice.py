@@ -97,6 +97,40 @@ class MonotoneOp:
                 out |= 1 << i
         return out
 
+    def box_fixed_masks(self) -> list[int]:
+        """The masks m with box_mask(m) == m, in increasing order.
+
+        box_mask is a right adjoint, so it preserves meets: box(m) =
+        box(m | y) & ~pred(y) for a state y outside m, where pred(y) is the
+        mask of states with y as a successor.  Filling from the full mask
+        downward gives one AND per mask.  Meets also split the states into a
+        low and a high half, box(lo | hi) = box(lo | high half) &
+        box(low half | hi), so two tables of about 2^(n/2) entries give every
+        image with one more AND."""
+        n = len(self.states)
+        pred = [0] * n
+        for x, succ in enumerate(self._succ_masks):
+            for y in range(succ.bit_length()):
+                if succ >> y & 1:
+                    pred[y] |= 1 << x
+
+        def downward(ys: range) -> list[int]:
+            # entry j: box of the full mask less the states ys[i] with bit i of j clear
+            table = [(1 << n) - 1]
+            for y in ys:
+                keep = ~pred[y]
+                table = [b & keep for b in table] + table
+            return table
+
+        k = n // 2
+        low, high = downward(range(k)), downward(range(k, n))
+        return [
+            m
+            for base, high_box in zip(range(0, 1 << n, 1 << k), high)
+            for m, low_box in enumerate(low, base)
+            if low_box & high_box == m
+        ]
+
     def _min_state(self, mask: int) -> str:
         return self.states[(mask & -mask).bit_length() - 1]
 

@@ -251,11 +251,9 @@ def cartesian_subcoalgebras(coalg: FinCoalgebra, bound: int = 16) -> list[tuple[
     states = coalg.states
     if len(states) > bound:
         raise BoundExceeded(f"{len(states)} states exceeds the exhaustive bound {bound}")
-    op = _successor_op(coalg)
     return [
         tuple(s for i, s in enumerate(states) if mask >> i & 1)
-        for mask in range(1 << len(states))
-        if op.box_mask(mask) == mask
+        for mask in _successor_op(coalg).box_fixed_masks()
     ]
 
 

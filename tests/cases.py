@@ -11,6 +11,19 @@ BINARY = Signature((("cross", 2), ("chk", 2)))
 # a nullary plus a binary symbol, enough for well-founded machines
 CS = Signature((("c", 0), ("s", 2)))
 
+# the signatures of acceptance criterion 8
+CARTESIAN_SIGS = [
+    Signature((("c", 0),)),
+    Signature((("g", 1),)),
+    Signature((("f", 2),)),
+    Signature((("c", 0), ("d", 0))),
+    Signature((("c", 0), ("g", 1))),
+    Signature((("c", 0), ("f", 2))),
+    Signature((("g", 1), ("h", 1))),
+    Signature((("g", 1), ("f", 2))),
+    Signature((("f", 2), ("h", 2))),
+]
+
 
 def flip_algebra() -> FinAlgebra:
     """Carrier {0,1}; chk flips, cross preserves."""

@@ -67,6 +67,19 @@ def random_algebra(rng: random.Random, sig: Signature, size: int) -> FinAlgebra:
     return FinAlgebra(sig, carrier, table)
 
 
+def random_sparse_algebra(rng: random.Random, sig: Signature, size: int, density: float) -> FinAlgebra:
+    """Each argument tuple gets a row with probability `density` (0 gives an
+    empty table); the rest fall to a random `default`."""
+    carrier = tuple(str(i) for i in range(size))
+    table = {
+        (op, args): rng.choice(carrier)
+        for op, arity in sig.symbols
+        for args in product(carrier, repeat=arity)
+        if rng.random() < density
+    }
+    return FinAlgebra(sig, carrier, table, default=rng.choice(carrier))
+
+
 def random_flat_system(
     rng: random.Random, sig: Signature, max_states: int = 5
 ) -> tuple[tuple[str, ...], list[tuple[Term, Term]]]:

@@ -132,6 +132,26 @@ def brute_force_hylo(coalg, alg) -> list[dict]:
     return out
 
 
+def naive_narrowed_space(coalg, alg) -> int:
+    """The assignments left after each state keeps only the values that some
+    choice of its successors' kept values produces, repeated until nothing
+    changes: the product of the kept counts (0 when a state keeps none)."""
+    kept = {x: set(alg.carrier) for x in coalg.states}
+    changed = True
+    while changed:
+        changed = False
+        for x in coalg.states:
+            op, args = coalg.step[x]
+            image = {alg.app(op, t) for t in product(*(sorted(kept[y]) for y in args))}
+            if not kept[x] <= image:
+                kept[x] &= image
+                changed = True
+    space = 1
+    for x in coalg.states:
+        space *= len(kept[x])
+    return space
+
+
 def cycle_marking_exists(coalg, flip_op: str) -> bool:
     """Does the two-point alternating algebra admit a solution for a functional
     machine?  True iff every cycle passes through `flip_op` an even number of

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from cases import UNARY, flip_algebra, three_state_automaton
+from cases import CARTESIAN_SIGS, UNARY, flip_algebra, three_state_automaton
 from gen import (
     random_algebra,
     random_flat_system,
@@ -193,19 +193,6 @@ def test_criterion_7_parity_law():
         nonempty = len(enumerate_hylo(coalg, flip)) > 0
         assert nonempty == cycle_marking_exists(coalg, "chk")
     _report("7/9 parity law", t0)
-
-
-CARTESIAN_SIGS = [
-    Signature((("c", 0),)),
-    Signature((("g", 1),)),
-    Signature((("f", 2),)),
-    Signature((("c", 0), ("d", 0))),
-    Signature((("c", 0), ("g", 1))),
-    Signature((("c", 0), ("f", 2))),
-    Signature((("g", 1), ("h", 1))),
-    Signature((("g", 1), ("f", 2))),
-    Signature((("f", 2), ("h", 2))),
-]
 
 
 def test_criterion_8_cartesian_classification():

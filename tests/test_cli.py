@@ -588,6 +588,54 @@ def test_cartesian_ignores_unused_wide_symbol(tmp_path):
     assert json.loads(proc.stdout)["fixed_points"] == [["q"]]
 
 
+def wide_loop_files(tmp_path):
+    """The one-state machine q = p(q, ..., q) with p/30, and the algebra on
+    {0, 1} that states no rows and defaults to 0."""
+    sig = Signature((("p", 30),))
+    machine, algebra = tmp_path / "loop30.json", tmp_path / "empty30.json"
+    machine.write_text(jsonio.canonical_dumps(
+        jsonio.coalgebra_to_json(FinCoalgebra(sig, ("q",), {"q": ("p", ("q",) * 30)}))
+    ))
+    algebra.write_text(jsonio.canonical_dumps(
+        jsonio.algebra_to_json(FinAlgebra(sig, ("0", "1"), {}, default="0"))
+    ))
+    return machine, algebra
+
+
+def test_hylo_narrows_a_wide_step_from_the_stated_rows(tmp_path):
+    # 2^30 argument tuples, but the algebra states none: every one is 0
+    machine, algebra = wide_loop_files(tmp_path)
+    start = time.perf_counter()
+    proc = run_process("hylo", machine, algebra, "--budget", "10", "--list", timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"count": 1, "morphisms": [{"q": "0"}]}
+
+
+def test_cartesian_narrows_a_wide_step_from_the_stated_rows(tmp_path):
+    machine, _ = wide_loop_files(tmp_path)
+    start = time.perf_counter()
+    proc = run_process("cartesian", machine, timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"count": 2, "fixed_points": [[], ["q"]]}
+
+
+@pytest.mark.parametrize("argv", [("cartesian",), ("mu-eq", "q", "g(q)")])
+def test_boolean_arity_is_a_schema_error(argv, capsys, tmp_path):
+    f = tmp_path / "bool.json"
+    f.write_text(json.dumps({
+        "format": 1, "kind": "coalgebra",
+        "signature": {"symbols": [{"name": "g", "arity": True}]},
+        "states": ["q"], "step": {"q": {"op": "g", "args": ["q"]}},
+    }))
+    with pytest.raises(SchemaError, match="integer arity"):
+        jsonio.load_coalgebra(f)
+    code, body = run(capsys, argv[0], f, *argv[1:])
+    assert code == 2
+    assert body is None
+
+
 def test_output_is_deterministic(capsys):
     main(["galois", str(DATA / "chain_safe.json")])
     first = capsys.readouterr().out

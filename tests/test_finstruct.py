@@ -30,8 +30,8 @@ from relfix.finstruct import (
 from relfix.sigterm import Signature, app, parse_term, var
 
 import cases
-from gen import random_mixed_machines
-from oracles import brute_force_hylo, naive_wellfounded
+from gen import random_machine, random_mixed_machines, random_sparse_algebra
+from oracles import brute_force_hylo, naive_narrowed_space, naive_wellfounded
 
 
 class TestConstruction:
@@ -158,6 +158,37 @@ class TestEnumerate:
             b = FinCoalgebra(sig, states, step)
             for a in algs:
                 assert enumerate_hylo(b, a) == brute_force_hylo(b, a)
+
+    def test_nullary_step_against_an_empty_table_takes_the_default(self):
+        sig = Signature((("c", 0), ("p", 5)))
+        alg = FinAlgebra(sig, ("0", "1"), {}, default="1")
+        b = FinCoalgebra(sig, ("q", "r"), {"q": ("c", ()), "r": ("p", ("q",) * 5)})
+        assert enumerate_hylo(b, alg) == [{"q": "1", "r": "1"}]
+
+    def test_matches_oracles_on_sparse_algebras_with_a_default(self):
+        # images past the table's row count are read from the rows; nullary
+        # symbols and empty tables are where the default is easiest to lose
+        sigs = [
+            Signature((("c", 0),)),
+            Signature((("c", 0), ("g", 1), ("f", 2))),
+            Signature((("c", 0), ("d", 0), ("h", 3))),
+            Signature((("g", 1), ("p", 5))),
+            Signature((("c", 0), ("q", 4), ("p", 5))),
+        ]
+        rng = random.Random(53)
+        for _ in range(400):
+            sig = sigs[rng.randrange(len(sigs))]
+            b = random_machine(rng, sig, rng.randint(1, 4))
+            a = random_sparse_algebra(rng, sig, rng.randint(1, 3), rng.choice((0, 0.02, 0.2, 0.6)))
+            want = brute_force_hylo(b, a)
+            space = naive_narrowed_space(b, a)
+            for budget in (1, 5, 10**6):
+                if space > budget:
+                    with pytest.raises(BudgetExceeded) as err:
+                        enumerate_hylo(b, a, budget)
+                    assert err.value.required == len(a.carrier) ** len(b.states)
+                else:
+                    assert enumerate_hylo(b, a, budget) == want
 
     def test_long_chain_in_either_declaration_order(self):
         want = [{f"s{i}": str((2999 - i) % 2) for i in range(3000)}]

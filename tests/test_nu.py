@@ -7,7 +7,7 @@ import pytest
 from relfix import jsonio, nu
 from relfix.cli import main
 from relfix.errors import BoundExceeded, BudgetExceeded, NotCaMorphism
-from relfix.finstruct import FinAlgebra, FinCoalgebra, enumerate_hylo
+from relfix.finstruct import FinAlgebra, FinCoalgebra, all_coalgebras, enumerate_hylo
 from relfix.lattice import MonotoneOp
 from relfix.nu import (
     RationalTree,
@@ -27,7 +27,7 @@ from relfix.nu import (
 from relfix.sigterm import Signature
 
 import cases
-from gen import random_mixed_machines
+from gen import MIXED, random_machine, random_mixed_machines
 from oracles import naive_greatest_invariant, naive_next_time_fixed_points
 
 
@@ -326,6 +326,30 @@ class TestCartesian:
         )
         with pytest.raises(BoundExceeded):
             cartesian_subcoalgebras(b)
+
+    @staticmethod
+    def check_against_box_mask(coalg, naive=True):
+        """The tabulated fixed points are the masks that box_mask fixes, in
+        binary counting order, and (with `naive`) the oracle's subsets."""
+        n = len(coalg.states)
+        op = MonotoneOp(coalg.states, {x: coalg.successors(x) for x in coalg.states})
+        fixed = [m for m in range(1 << n) if op.box_mask(m) == m]
+        assert op.box_fixed_masks() == fixed
+        got = cartesian_subcoalgebras(coalg)
+        assert got == [tuple(s for i, s in enumerate(coalg.states) if m >> i & 1) for m in fixed]
+        if naive:
+            assert [frozenset(p) for p in got] == naive_next_time_fixed_points(coalg)
+
+    def test_table_matches_box_mask_on_every_small_machine(self):
+        for sig in cases.CARTESIAN_SIGS:
+            for n in range(4):
+                for coalg in all_coalgebras(sig, n):
+                    self.check_against_box_mask(coalg)
+
+    def test_table_matches_box_mask_on_larger_machines(self):
+        rng = random.Random(61)
+        for n in list(range(10, 17)) * 2:
+            self.check_against_box_mask(random_machine(rng, MIXED, n), naive=n <= 12)
 
     def test_invariant_subset_need_not_be_fixed(self):
         b = cases.unary_machine({"a": ("cross", "b"), "b": ("cross", "b")})
