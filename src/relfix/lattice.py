@@ -1,21 +1,55 @@
 """Monotone operators on finite powerset lattices and the safety check.
 
 Subsets are bitmasks over the declared state order (Python integers, so any
-state count works; up to 64 states this is a single machine word).  The
-least solution above a post-fixed start and the greatest solution below a
-pre-fixed start are both read from one chain of iterates F^n(start), which
-stabilizes within |S| steps.  The safety check runs the two chains in
-lockstep and reports the first inclusion that fails.  Every operator is the
-successor image of a relation; it preserves unions, so it has a right
-adjoint, the next-time operator `box_mask`.
+state count works).  The least solution above a post-fixed start and the
+greatest solution below a pre-fixed start are both read from one chain of
+iterates F^n(start), which stabilizes within |S| steps.  The safety check
+runs the two chains in lockstep and reports the first inclusion that fails.
+Every operator is the successor image of a relation; it preserves unions, so
+it has a right adjoint, the next-time operator `box_mask`.
+
+Up to WORD_STATES (64) states a mask is one machine word, and each stage
+re-applies F to the whole mask.  Past it, `MonotoneOp` holds successors as
+index lists and each stage touches only the states that changed: upward, it
+ORs in the successors of the states reached last; downward, it keeps each
+state's count of predecessors inside the mask and drops the states whose
+count reaches 0.  A chain then visits each edge O(1) times, and masks are
+read and built in O(n) through bin() and int(_, 2).
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterable, Iterator, Mapping
 
 from .errors import NotPostFixed, NotPreFixed
+
+# Up to this many states a subset mask fits one machine word, and one
+# application of F is a handful of word ORs.
+WORD_STATES = 64
+
+_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\0\1")
+_FLAG_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask_of_flags(flags: bytearray) -> int:
+    """The mask whose bit i is flags[i] (0 or 1), built through int(_, 2) in O(n)."""
+    return int(flags[::-1].translate(_FLAG_TO_DIGIT), 2)
+
+
+def _mask_of_indices(indices: list[int], n: int) -> int:
+    """The mask with the given bits below n: by shifts while they are fewer
+    than WORD_STATES, which is cheaper than one O(n) pass, else by flags."""
+    if len(indices) < WORD_STATES:
+        m = 0
+        for i in indices:
+            m |= 1 << i
+        return m
+    flags = bytearray(n)
+    for i in indices:
+        flags[i] = 1
+    return _mask_of_flags(flags)
 
 
 @dataclass(frozen=True)
@@ -54,12 +88,17 @@ class TransitionSystem:
 class MonotoneOp:
     """The successor image of a relation on a fixed finite state set:
     F(X) = union of successors over X.  It preserves unions, so it is
-    monotone and has a right adjoint, `box_mask`."""
+    monotone and has a right adjoint, `box_mask`.  Successors are masks up to
+    WORD_STATES states and index lists past it (see the module docstring)."""
 
     def __init__(self, states: Iterable[str], successors: Mapping[str, Iterable[str]]):
         self.states = tuple(states)
         self._index = {s: i for i, s in enumerate(self.states)}
-        self._succ_masks = [self.mask_of(successors[x]) for x in self.states]
+        self._wide = len(self.states) > WORD_STATES
+        if self._wide:
+            self._succ_lists = [self._positions(successors[x]) for x in self.states]
+        else:
+            self._succ_masks = [self.mask_of(successors[x]) for x in self.states]
         # galois_check repeats each start mask over every pre-fixed partner
         self._mu_cache: dict[int, int] = {}
         self._nu_cache: dict[int, int] = {}
@@ -68,7 +107,21 @@ class MonotoneOp:
     def from_transition_system(cls, ts: TransitionSystem) -> "MonotoneOp":
         return cls(ts.states, ts.delta)
 
+    def _positions(self, subset: Iterable[str]) -> list[int]:
+        try:
+            return list(map(self._index.__getitem__, subset))
+        except KeyError as missing:
+            raise ValueError(f"'{missing.args[0]}' is not a state") from None
+
+    def _flags(self, mask: int) -> bytearray:
+        """Byte i is bit i of mask, read through bin() in O(n)."""
+        flags = bytearray(bin(mask)[:1:-1], "ascii").translate(_DIGIT_TO_FLAG)
+        flags.extend(bytes(len(self.states) - len(flags)))
+        return flags
+
     def mask_of(self, subset: Iterable[str]) -> int:
+        if self._wide:
+            return _mask_of_indices(self._positions(subset), len(self.states))
         m = 0
         for s in subset:
             if s not in self._index:
@@ -77,9 +130,15 @@ class MonotoneOp:
         return m
 
     def set_of(self, mask: int) -> frozenset[str]:
+        if self._wide:
+            return frozenset(compress(self.states, self._flags(mask)))
         return frozenset(s for i, s in enumerate(self.states) if mask >> i & 1)
 
     def apply_mask(self, mask: int) -> int:
+        if self._wide:
+            succ = self._succ_lists
+            image = [j for i in compress(count(), self._flags(mask)) for j in succ[i]]
+            return _mask_of_indices(image, len(self.states))
         out = 0
         rest = mask
         while rest:
@@ -91,6 +150,9 @@ class MonotoneOp:
     def box_mask(self, mask: int) -> int:
         """The right adjoint of apply_mask: the states whose successors all
         lie in mask, so apply_mask(x) <= u exactly when x <= box_mask(u)."""
+        if self._wide:
+            inside = self._flags(mask).__getitem__
+            return _mask_of_flags(bytearray(all(map(inside, ys)) for ys in self._succ_lists))
         out = 0
         for i, need in enumerate(self._succ_masks):
             if need | mask == mask:
@@ -109,10 +171,15 @@ class MonotoneOp:
         image with one more AND."""
         n = len(self.states)
         pred = [0] * n
-        for x, succ in enumerate(self._succ_masks):
-            for y in range(succ.bit_length()):
-                if succ >> y & 1:
+        if self._wide:
+            for x, ys in enumerate(self._succ_lists):
+                for y in ys:
                     pred[y] |= 1 << x
+        else:
+            for x, succ in enumerate(self._succ_masks):
+                for y in range(succ.bit_length()):
+                    if succ >> y & 1:
+                        pred[y] |= 1 << x
 
         def downward(ys: range) -> list[int]:
             # entry j: box of the full mask less the states ys[i] with bit i of j clear
@@ -140,6 +207,11 @@ class MonotoneOp:
         the least fixed point above it; downward, pre-fixed (else NotPreFixed)
         and they descend to the greatest fixed point below it.  The start is
         checked when the first iterate is asked for."""
+        if not self._wide:
+            return self._word_chain(mask, upward)
+        return (self._rising_chain if upward else self._falling_chain)(mask)
+
+    def _word_chain(self, mask: int, upward: bool) -> Iterator[int]:
         image = self.apply_mask(mask)
         stray = mask & ~image if upward else image & ~mask
         if stray:
@@ -149,6 +221,55 @@ class MonotoneOp:
             if image == mask:
                 return
             mask, image = image, self.apply_mask(image)
+
+    def _rising_chain(self, mask: int) -> Iterator[int]:
+        """F preserves unions, so F(m | d) = m | F(d) for m = F(m - d): each
+        stage ORs in only the successors of the states reached last."""
+        succ, n = self._succ_lists, len(self.states)
+        inside = self._flags(mask)
+        start = list(compress(count(), inside))
+        image = bytearray(n)
+        for i in start:
+            for j in succ[i]:
+                image[j] = 1
+        stray = next((i for i in start if not image[i]), None)
+        if stray is not None:
+            raise NotPostFixed(self.states[stray])
+        yield mask
+        reached = [j for j in compress(count(), image) if not inside[j]]
+        while reached:
+            for j in reached:
+                inside[j] = 1
+            mask |= _mask_of_indices(reached, n)
+            yield mask
+            reached = list(dict.fromkeys(j for i in reached for j in succ[i] if not inside[j]))
+
+    def _falling_chain(self, mask: int) -> Iterator[int]:
+        """Each state counts its predecessors inside the current mask; a
+        removed state decrements its successors' counts, and a state whose
+        count reaches 0 leaves at the next stage.  Every edge is visited
+        O(1) times over the whole chain."""
+        succ, n = self._succ_lists, len(self.states)
+        inside = self._flags(mask)
+        start = list(compress(count(), inside))
+        preds = [0] * n
+        for i in start:
+            for j in succ[i]:
+                preds[j] += 1
+        stray = next((j for j in compress(count(), preds) if not inside[j]), None)
+        if stray is not None:
+            raise NotPreFixed(self.states[stray])
+        yield mask
+        gone = [i for i in start if not preds[i]]
+        while gone:
+            mask ^= _mask_of_indices(gone, n)
+            yield mask
+            last, gone = gone, []
+            for i in last:
+                for j in succ[i]:
+                    preds[j] -= 1
+                    if not preds[j]:
+                        gone.append(j)
 
     def mu_post_mask(self, mask: int) -> int:
         if mask not in self._mu_cache:

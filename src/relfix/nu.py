@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import inf, prod
+from math import inf
 from typing import Iterable, Mapping
 
 from .errors import BijectionViolation, BoundExceeded, BudgetExceeded
@@ -21,6 +21,7 @@ from .finstruct import (
     CaMorphism,
     FinAlgebra,
     FinCoalgebra,
+    _saturating_pow,
     enumerate_hylo,
 )
 from .lattice import MonotoneOp
@@ -93,8 +94,10 @@ def _build_prefixes(root, depth: int, label_of, expansions, budget) -> list[Tree
     each way `expansions[key]` lists as (op, child keys), children combined
     lexicographically.  Levels are sized from the cutoff up first, so more than
     `budget` nodes are refused with nothing built (an infinite budget skips it).
-    Listed keys count against the budget too: when every key expands some way,
-    each one is at least one node.  Listing stops at the first empty level."""
+    Both the shared nodes built and the nodes the prefixes print as trees
+    count.  Listed keys count against the budget too: when every key expands
+    some way, each one is at least one node.  Listing stops at the first empty
+    level."""
     levels, listed = [[root]], 1
     while len(levels) <= depth and levels[-1]:
         levels.append(list(dict.fromkeys(
@@ -104,20 +107,35 @@ def _build_prefixes(root, depth: int, label_of, expansions, budget) -> list[Tree
         if listed > budget:
             raise BudgetExceeded(budget + 1, budget)
     cutoff = levels.pop()
-    sizes, total = dict.fromkeys(cutoff, 1), len(cutoff)
+    # per key: (prefixes, nodes printed over all of them), capped at budget + 1
+    sizes, total = dict.fromkeys(cutoff, (1, 1)), len(cutoff)
     for keys in reversed(levels if budget < inf else ()):
         if total > budget:
             break
-        sizes = {key: sum([prod(map(sizes.__getitem__, args)) for _, args in expansions[key]])
-                 for key in keys}
-        total += sum(sizes.values())
-    if total > budget:
+        sizes = {key: _expansion_sizes(expansions[key], sizes, budget + 1) for key in keys}
+        total += sum(count for count, _ in sizes.values())
+    if total > budget or (budget < inf and sizes[root][1] > budget):
         raise BudgetExceeded(budget + 1, budget)
     below = {key: [TreePrefix(label_of(key))] for key in cutoff}
     for keys in reversed(levels):
         below = {key: [TreePrefix(label_of(key), op, kids) for op, args in expansions[key]
                        for kids in product(*map(below.__getitem__, args))] for key in keys}
     return below[root]
+
+
+def _expansion_sizes(ways, sizes, cap: int) -> tuple[int, int]:
+    """Prefixes and printed nodes over every expansion in `ways`, each capped
+    at `cap`: a combination of children with (count c_i, nodes n_i) gives
+    prod c_i prefixes, printing prod c_i roots plus n_i * prod_(j != i) c_j
+    nodes below each child i."""
+    count_sum = nodes_sum = 0
+    for _, args in ways:
+        count, nodes = 1, 0
+        for y in args:
+            c, n = sizes[y]
+            count, nodes = min(count * c, cap), min(nodes * c + count * n, cap)
+        count_sum, nodes_sum = count_sum + count, nodes_sum + nodes + count
+    return min(count_sum, cap), min(nodes_sum, cap)
 
 
 def enum_nu_prefixes(
@@ -133,9 +151,13 @@ def enum_nu_prefixes(
         raise ValueError(f"root {root!r} is not a carrier element")
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    tuples = sum(len(alg.carrier) ** arity for _, arity in alg.sig.symbols)
+    # exact while a symbol's count fits in 64 bits, so refusals name it; past
+    # that, budget + 1, and the power is never evaluated
+    cap = max(budget, 1 << 64)
+    counts = [_saturating_pow(len(alg.carrier), arity, cap) for _, arity in alg.sig.symbols]
+    tuples = sum(counts)
     if tuples > budget:
-        raise BudgetExceeded(tuples, budget)
+        raise BudgetExceeded(tuples if max(counts) <= cap else budget + 1, budget)
     return _build_prefixes(root, depth, str, tree_fibers(alg), budget)  # labels are keys
 
 

@@ -21,7 +21,19 @@ def random_transition_system(rng: random.Random, max_states: int = 6) -> Transit
     delta = {
         x: frozenset(y for y in states if rng.random() < 0.35) for x in states
     }
+    return _with_fixed_starts(rng, states, delta)
 
+
+def random_sparse_system(rng: random.Random, min_states: int, max_states: int) -> TransitionSystem:
+    """Like random_transition_system, but with zero to three successors per
+    state, so chains on a few hundred states run for several stages."""
+    n = rng.randint(min_states, max_states)
+    states = tuple(f"s{i}" for i in range(n))
+    delta = {x: frozenset(rng.choices(states, k=rng.randint(0, 3))) for x in states}
+    return _with_fixed_starts(rng, states, delta)
+
+
+def _with_fixed_starts(rng: random.Random, states, delta) -> TransitionSystem:
     def f(xs: frozenset) -> frozenset:
         out: set[str] = set()
         for x in xs:
@@ -35,6 +47,26 @@ def random_transition_system(rng: random.Random, max_states: int = 6) -> Transit
     while not f(safe) <= safe:
         safe = safe | f(safe)
     return TransitionSystem(states, delta, init, safe)
+
+
+def lockstep_system(n: int) -> TransitionSystem:
+    """Chain a from a self-looping init and chain b from a predecessor-free
+    head, all safe: reach grows and trim shrinks by one state per stage, so
+    the safety verdict is safe at stage n - 1."""
+    a = [f"a{i}" for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    delta = {x: {chain[min(i + 1, n - 1)]} for chain in (a, b) for i, x in enumerate(chain)}
+    delta[a[0]] = {a[0], a[1]}
+    return TransitionSystem(tuple(a + b), delta, {a[0]}, a + b)
+
+
+def ladder_graph(n: int) -> TransitionSystem:
+    """s_i -> s_(i+1), s_(i+2), s_(i+3), capped at the self-looping last
+    state; all states safe.  The greatest fixed point below them is the last
+    state alone, and the downward chain drops one state per stage."""
+    states = [f"s{i}" for i in range(n)]
+    delta = {x: {states[min(i + k, n - 1)] for k in (1, 2, 3)} for i, x in enumerate(states)}
+    return TransitionSystem(tuple(states), delta, {states[-1]}, states)
 
 
 def random_machine(rng: random.Random, sig: Signature, n_states: int) -> FinCoalgebra:

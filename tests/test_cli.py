@@ -388,6 +388,34 @@ def test_wide_symbol_fibers_are_refused_by_the_budget(tmp_path):
     assert proc.stderr == f"error: enumeration of size {1 + 2**30} exceeds budget 10\n"
 
 
+def test_nu_enum_budget_counts_printed_nodes(tmp_path):
+    # one shared node per level, but 2^21 - 1 nodes printed at depth 20
+    f = tmp_path / "b2.json"
+    f.write_text(
+        '{"format": 1, "kind": "algebra", "signature": {"symbols": [{"name": "b", "arity": 2}]}, '
+        '"carrier": ["0"], "table": [{"op": "b", "args": ["0", "0"], "out": "0"}]}\n'
+    )
+    start = time.perf_counter()
+    proc = run_process("nu-enum", f, "--root", "0", "--depth", "20", timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr == "error: enumeration of size 1000001 exceeds budget 1000000\n"
+
+
+def test_nu_enum_sizes_a_huge_arity_without_its_power(tmp_path):
+    f = tmp_path / "huge.json"
+    f.write_text(
+        '{"format": 1, "kind": "algebra", "signature": {"symbols": [{"name": "c", "arity": 0}, '
+        '{"name": "p", "arity": 2000000000}]}, "carrier": ["0", "1"], "default": "0", "table": '
+        '[{"op": "c", "args": [], "out": "1"}]}\n'
+    )
+    start = time.perf_counter()
+    proc = run_process("nu-enum", f, "--root", "1", "--depth", "1", timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr == "error: enumeration of size 1000001 exceeds budget 1000000\n"
+
+
 def g_ring_against_successor(tmp_path):
     """A 4100-state g-ring and the successor algebra on 12 elements: every
     state keeps all 12 values, so the space is 12^4100."""

@@ -1,12 +1,21 @@
 """Monotone operators, fixed-point chains, and the safety check."""
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 
 from relfix.errors import NotPostFixed, NotPreFixed
 from relfix.lattice import (
+    UNSAFE_BACKWARD,
     UNSAFE_FORWARD,
+    WORD_STATES,
     MonotoneOp,
+    SafetyVerdict,
     TransitionSystem,
     f_apply,
     galois_check,
@@ -17,8 +26,10 @@ from relfix.lattice import (
 )
 
 import cases
-from gen import random_mixed_machines, random_transition_system
+from gen import random_mixed_machines, random_sparse_system, random_transition_system
 from oracles import all_subsets, bfs_reachable
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def chain_ts(init=("s0",), safe=("s0", "s1")) -> TransitionSystem:
@@ -166,14 +177,33 @@ def first_state(ts: TransitionSystem, xs) -> str:
     return next(x for x in ts.states if x in xs)
 
 
+def chain_inputs(rng: random.Random) -> Iterator[TransitionSystem]:
+    """300 dense systems of up to 6 states, then 60 sparse ones of 60-300
+    states on both sides of WORD_STATES, where chains switch from word
+    masks to frontier steps."""
+    for _ in range(300):
+        yield random_transition_system(rng)
+    for low, high, count in ((60, WORD_STATES, 20), (WORD_STATES + 1, 300, 40)):
+        for _ in range(count):
+            yield random_sparse_system(rng, low, high)
+
+
+def plain_verdict(ts: TransitionSystem, up, down) -> SafetyVerdict:
+    """The safety verdict read off two checked chains with set arithmetic."""
+    for stage, (reach, trim) in enumerate(zip(up, down)):
+        if reach - ts.safe:
+            return SafetyVerdict("unsafe", stage, UNSAFE_FORWARD, first_state(ts, reach - ts.safe))
+        if ts.init - trim:
+            return SafetyVerdict("unsafe", stage, UNSAFE_BACKWARD, first_state(ts, ts.init - trim))
+    return SafetyVerdict("safe", stage)
+
+
 class TestChain:
     """MonotoneOp.chain against plain set arithmetic on random systems."""
 
     def test_chains_against_plain_sets(self):
-        rng = random.Random(21)
-        safe_seen = 0
-        for _ in range(300):
-            ts = random_transition_system(rng)
+        seen = Counter()
+        for ts in chain_inputs(random.Random(21)):
             op = MonotoneOp.from_transition_system(ts)
             up = [op.set_of(m) for m in op.chain(op.mask_of(ts.init), True)]
             down = [op.set_of(m) for m in op.chain(op.mask_of(ts.safe), False)]
@@ -187,16 +217,14 @@ class TestChain:
             assert up[-1] == bfs_reachable(ts.delta, ts.init) == mu_post(op, ts.init)
             assert down[-1] == nu_pre(op, ts.safe)
             verdict = safety_check(ts)
-            if verdict.is_safe:
-                safe_seen += 1
-                assert verdict.stage == min(len(up), len(down)) - 1
-        assert safe_seen > 100
+            assert verdict == plain_verdict(ts, up, down)
+            seen[len(ts.states) > WORD_STATES, verdict.result] += 1
+        assert len(seen) == 4 and seen[False, "safe"] > 100 and seen[True, "safe"] > 20
 
     def test_bad_starts_raise_alike_everywhere(self):
         rng = random.Random(22)
-        seen = {NotPostFixed: 0, NotPreFixed: 0}
-        for _ in range(300):
-            ts = random_transition_system(rng)
+        seen = Counter()
+        for ts in chain_inputs(rng):
             op = MonotoneOp.from_transition_system(ts)
             init = frozenset(x for x in ts.states if rng.random() < 0.5)
             safe = frozenset(x for x in ts.states if rng.random() < 0.5)
@@ -209,7 +237,7 @@ class TestChain:
             ):
                 if not stray:
                     continue
-                seen[exc] += 1
+                seen[len(ts.states) > WORD_STATES, exc] += 1
                 witness = first_state(ts, stray)
                 with pytest.raises(exc) as err:
                     next(op.chain(op.mask_of(start), upward))
@@ -223,7 +251,46 @@ class TestChain:
                 with pytest.raises(exc) as err:
                     safety_check(bad)
                 assert err.value.witness == first_state(ts, stray)
-        assert min(seen.values()) > 50
+        for wide, least in ((False, 50), (True, 30)):
+            assert min(seen[wide, NotPostFixed], seen[wide, NotPreFixed]) > least
+
+
+def timed_in_child(system: str, call: str, timeout: float = 10) -> tuple[float, str]:
+    """Build `system` from gen and time `call` on it as `ts`, in a fresh
+    interpreter killed after `timeout` seconds; return the call's wall time
+    and the repr of its result."""
+    code = (
+        "import time, gen\n"
+        "from relfix.lattice import MonotoneOp, nu_pre, safety_check\n"
+        f"ts = gen.{system}\n"
+        "start = time.perf_counter()\n"
+        f"result = {call}\n"
+        "print(time.perf_counter() - start)\n"
+        "print(repr(result))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=timeout, env=env, check=True)
+    seconds, result = proc.stdout.splitlines()
+    return float(seconds), result
+
+
+class TestChainScale:
+    """Frontier steps keep long chains on large state sets linear."""
+
+    def test_lockstep_safety_on_ten_thousand_states(self):
+        seconds, result = timed_in_child("lockstep_system(5000)", "safety_check(ts)")
+        assert result == repr(SafetyVerdict("safe", 4999))
+        assert seconds < 2
+
+    def test_nu_pre_on_a_twenty_thousand_state_ladder(self):
+        seconds, result = timed_in_child(
+            "ladder_graph(20000)", "sorted(nu_pre(MonotoneOp.from_transition_system(ts), ts.safe))"
+        )
+        assert result == repr(["s19999"])
+        assert seconds < 2
 
 
 class TestSafety:

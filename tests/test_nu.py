@@ -27,12 +27,21 @@ from relfix.nu import (
 from relfix.sigterm import Signature
 
 import cases
-from gen import MIXED, random_machine, random_mixed_machines
+from gen import MIXED, random_algebra, random_machine, random_mixed_machines
 from oracles import naive_greatest_invariant, naive_next_time_fixed_points
 
 
 def leaf(label):
     return TreePrefix(label)
+
+
+def printed_nodes(prefix: TreePrefix) -> int:
+    """Nodes in the tree a prefix prints as, shared subtrees counted each time."""
+    count, stack = 0, [prefix]
+    while stack:
+        count += 1
+        stack.extend(stack.pop().children)
+    return count
 
 
 class TestGuided:
@@ -159,6 +168,31 @@ class TestEnumPrefixes:
         with pytest.raises(BudgetExceeded) as err:
             enum_nu_prefixes(cases.flip_algebra(), "0", 0, budget=3)
         assert err.value.required == 4
+
+    def test_budget_counts_printed_nodes(self):
+        # b(0, 0) = 0 builds one shared node per level, but its depth-12
+        # prefix prints as a full binary tree of 2^13 - 1 nodes
+        alg = FinAlgebra(Signature((("b", 2),)), ("0",), {("b", ("0", "0")): "0"})
+        (prefix,) = enum_nu_prefixes(alg, "0", 12, budget=8191)
+        assert printed_nodes(prefix) == 8191
+        with pytest.raises(BudgetExceeded) as err:
+            enum_nu_prefixes(alg, "0", 12, budget=8190)
+        assert err.value.required == 8191
+
+    def test_budget_bounds_printed_nodes_on_random_algebras(self):
+        rng = random.Random(41)
+        past_tuples = 0
+        for _ in range(300):
+            sig = rng.choice((cases.UNARY, cases.BINARY, cases.CS))
+            alg = random_algebra(rng, sig, rng.randint(1, 3))
+            root, depth = rng.choice(alg.carrier), rng.randint(0, 2)
+            printed = sum(map(printed_nodes, enum_nu_prefixes(alg, root, depth)))
+            if not printed:
+                continue
+            with pytest.raises(BudgetExceeded):
+                enum_nu_prefixes(alg, root, depth, budget=printed - 1)
+            past_tuples += printed - 1 >= sum(len(alg.carrier) ** k for _, k in sig.symbols)
+        assert past_tuples > 100
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
