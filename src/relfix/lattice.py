@@ -8,9 +8,9 @@ runs the two chains in lockstep and reports the first inclusion that fails.
 Every operator is the successor image of a relation; it preserves unions, so
 it has a right adjoint, the next-time operator `box_mask`.
 
-Up to WORD_STATES (64) states a mask is one machine word, and each stage
-re-applies F to the whole mask.  Past it, `MonotoneOp` holds successors as
-index lists and each stage touches only the states that changed: upward, it
+Up to WORD_STATES (64) states each stage re-applies F to the whole mask, a
+few ORs of small ints.  Past it, `MonotoneOp` holds successors as index
+lists and each stage touches only the states that changed: upward, it
 ORs in the successors of the states reached last; downward, it keeps each
 state's count of predecessors inside the mask and drops the states whose
 count reaches 0.  A chain then visits each edge O(1) times, and masks are
@@ -25,9 +25,20 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import NotPostFixed, NotPreFixed
 
-# Up to this many states a subset mask fits one machine word, and one
-# application of F is a handful of word ORs.
+# Up to this many states, chains re-apply F to the whole mask; past it, they
+# advance by their frontier.  Timing both chains of the safety check on 40
+# sparse random systems plus a lockstep system per size, the whole-mask
+# chains are ahead at 32 states (1.24 vs 1.48 ms) and behind at 64 (2.73 vs
+# 2.16 ms) and 150 (9.3 vs 3.8 ms) on a 2-core machine, Python 3.11.7.  The
+# crossover lies between 32 and 64; the benchmark's systems have at most 16
+# states or at least 150, so any value in between runs them the same way.
 WORD_STATES = 64
+
+# Below this many indices, _mask_of_indices shifts each bit in rather than
+# making one O(n) pass over flags.  On the same machine, shifting in 64
+# random indices takes 5.1 us against 2.7 us for the pass at 65 states, and
+# 14 us against 57 us at 20,000 states.
+_SHIFT_INDICES = 64
 
 _DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\0\1")
 _FLAG_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
@@ -40,8 +51,8 @@ def _mask_of_flags(flags: bytearray) -> int:
 
 def _mask_of_indices(indices: list[int], n: int) -> int:
     """The mask with the given bits below n: by shifts while they are fewer
-    than WORD_STATES, which is cheaper than one O(n) pass, else by flags."""
-    if len(indices) < WORD_STATES:
+    than _SHIFT_INDICES, else by one O(n) pass over flags."""
+    if len(indices) < _SHIFT_INDICES:
         m = 0
         for i in indices:
             m |= 1 << i
@@ -114,12 +125,17 @@ class MonotoneOp:
             raise ValueError(f"'{missing.args[0]}' is not a state") from None
 
     def _flags(self, mask: int) -> bytearray:
-        """Byte i is bit i of mask, read through bin() in O(n)."""
+        """Byte i is bit i of mask, for at least every state, read through
+        bin() in O(n)."""
         flags = bytearray(bin(mask)[:1:-1], "ascii").translate(_DIGIT_TO_FLAG)
-        flags.extend(bytes(len(self.states) - len(flags)))
+        if len(flags) < len(self.states):
+            flags.extend(bytes(len(self.states) - len(flags)))
         return flags
 
     def mask_of(self, subset: Iterable[str]) -> int:
+        # galois_check calls this twice per pair of starts.  Going through
+        # index lists at every size took sweep's op_tail_ms from 2.1 to 3.2 ms
+        # and its ops_per_s down by a fifth (two seeds, 15 s runs).
         if self._wide:
             return _mask_of_indices(self._positions(subset), len(self.states))
         m = 0
@@ -130,9 +146,7 @@ class MonotoneOp:
         return m
 
     def set_of(self, mask: int) -> frozenset[str]:
-        if self._wide:
-            return frozenset(compress(self.states, self._flags(mask)))
-        return frozenset(s for i, s in enumerate(self.states) if mask >> i & 1)
+        return frozenset(compress(self.states, self._flags(mask)))
 
     def apply_mask(self, mask: int) -> int:
         if self._wide:
@@ -163,29 +177,19 @@ class MonotoneOp:
         """The masks m with box_mask(m) == m, in increasing order.
 
         box_mask is a right adjoint, so it preserves meets: box(m) =
-        box(m | y) & ~pred(y) for a state y outside m, where pred(y) is the
-        mask of states with y as a successor.  Filling from the full mask
-        downward gives one AND per mask.  Meets also split the states into a
-        low and a high half, box(lo | hi) = box(lo | high half) &
-        box(low half | hi), so two tables of about 2^(n/2) entries give every
-        image with one more AND."""
+        box(m | y) & box(full - y) for a state y outside m.  Filling from the
+        full mask downward gives one AND per mask.  Meets also split the
+        states into a low and a high half, box(lo | hi) = box(lo | high half)
+        & box(low half | hi), so two tables of about 2^(n/2) entries give
+        every image with one more AND."""
         n = len(self.states)
-        pred = [0] * n
-        if self._wide:
-            for x, ys in enumerate(self._succ_lists):
-                for y in ys:
-                    pred[y] |= 1 << x
-        else:
-            for x, succ in enumerate(self._succ_masks):
-                for y in range(succ.bit_length()):
-                    if succ >> y & 1:
-                        pred[y] |= 1 << x
+        full = (1 << n) - 1
 
         def downward(ys: range) -> list[int]:
             # entry j: box of the full mask less the states ys[i] with bit i of j clear
-            table = [(1 << n) - 1]
+            table = [full]
             for y in ys:
-                keep = ~pred[y]
+                keep = self.box_mask(full ^ 1 << y)
                 table = [b & keep for b in table] + table
             return table
 

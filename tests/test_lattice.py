@@ -157,6 +157,22 @@ class TestBox:
                 for u in masks:
                     assert (image[x] & ~u == 0) == (x & ~box[u] == 0)
 
+    def test_images_against_plain_sets_on_both_sides_of_word_states(self):
+        # masks come from set arithmetic here, so bit order and padding are
+        # checked too; sparse and dense masks reach both ways of building one
+        rng = random.Random(33)
+        for low, high in ((40, WORD_STATES), (WORD_STATES + 1, 300)):
+            for _ in range(15):
+                ts = random_sparse_system(rng, low, high)
+                op = MonotoneOp.from_transition_system(ts)
+                for density in (0.0, 0.03, 0.5, 0.97, 1.0):
+                    u = frozenset(x for x in ts.states if rng.random() < density)
+                    m = plain_mask(ts, u)
+                    assert op.mask_of(u) == m and op.set_of(m) == u
+                    assert op.apply_mask(m) == plain_mask(ts, plain_image(ts.delta, u))
+                    assert op.box_mask(m) == plain_mask(ts, (x for x in ts.states if ts.delta[x] <= u))
+                    assert f_apply(op, u) == plain_image(ts.delta, u)
+
 
 class TestRandomSystem:
     @pytest.mark.parametrize("max_states,density", [(5, 0.45), (7, 0.4)])
@@ -171,6 +187,11 @@ class TestRandomSystem:
 
 def plain_image(delta, xs) -> frozenset:
     return frozenset(y for x in xs for y in delta[x])
+
+
+def plain_mask(ts: TransitionSystem, xs) -> int:
+    xs = frozenset(xs)
+    return sum(1 << i for i, x in enumerate(ts.states) if x in xs)
 
 
 def first_state(ts: TransitionSystem, xs) -> str:

@@ -8,7 +8,7 @@ from relfix import jsonio, nu
 from relfix.cli import main
 from relfix.errors import BoundExceeded, BudgetExceeded, NotCaMorphism
 from relfix.finstruct import FinAlgebra, FinCoalgebra, all_coalgebras, enumerate_hylo
-from relfix.lattice import MonotoneOp
+from relfix.lattice import WORD_STATES, MonotoneOp
 from relfix.nu import (
     RationalTree,
     TreePrefix,
@@ -330,8 +330,13 @@ class TestGreatestSubcoalgebra:
         assert g < next_time(b, g)  # invariant but not fixed below this subset
 
     def test_matches_reachability_oracle(self):
+        # three machines past WORD_STATES, where box_mask reads index lists
+        wide = random.Random(38)
+        machines = random_mixed_machines(seed=37, count=200) + [
+            random_machine(wide, MIXED, n) for n in (WORD_STATES + 1, 100, 200)
+        ]
         rng = random.Random(37)
-        for b in random_mixed_machines(seed=37, count=200):
+        for b in machines:
             assert greatest_subcoalgebra(b) == naive_greatest_invariant(b, b.states)
             for _ in range(5):
                 within = frozenset(x for x in b.states if rng.random() < 0.6)
