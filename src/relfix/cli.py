@@ -13,52 +13,30 @@ import random
 import sys
 from itertools import product
 
-from .errors import BoundExceeded, BudgetExceeded, RelfixError
-from .finstruct import (
-    DEFAULT_BUDGET,
-    FinAlgebra,
-    FinCoalgebra,
-    all_algebras,
-    check_recursive_on,
-    count_algebras,
-    enumerate_hylo,
-    is_ca_morphism,
-)
-from .fractal import carpet_member, write_pgm
-from .jsonio import (
-    canonical_dumps,
-    load_algebra,
-    load_coalgebra,
-    load_prefix,
-    load_transition_system,
-    prefix_to_json,
-)
-from .lattice import (
-    MonotoneOp,
-    f_apply,
-    galois_check,
-    mu_post,
-    nu_pre,
-    random_system,
-    safety_check,
-)
-from .mu import mu_equal, mu_presentation
-from .nu import classify_cartesian, enum_nu_prefixes, is_a_guided
-from .sigterm import Signature, parse_term
+from .errors import DEFAULT_BUDGET, BoundExceeded, BudgetExceeded, RelfixError
+
+# Each command imports the modules it runs, so start-up loads no more of the
+# package than the command needs.
 
 
 def _emit(obj) -> None:
+    from .jsonio import canonical_dumps
+
     sys.stdout.write(canonical_dumps(obj))
 
 
 def _cmd_mu_eq(args) -> int:
+    from .jsonio import load_coalgebra
+    from .mu import _presented_equal, mu_presentation
+    from .sigterm import parse_term
+
     coalg = load_coalgebra(args.coalgebra)
     lhs = parse_term(coalg.sig, args.lhs)
     rhs = parse_term(coalg.sig, args.rhs)
     eqs = mu_presentation(coalg)
     _emit(
         {
-            "result": "equal" if mu_equal(coalg, lhs, rhs) else "distinct",
+            "result": "equal" if _presented_equal(coalg, lhs, rhs, eqs) else "distinct",
             "lhs": str(lhs),
             "rhs": str(rhs),
             "generators": [f"{s} = {t}" for s, t in eqs.equations],
@@ -68,6 +46,9 @@ def _cmd_mu_eq(args) -> int:
 
 
 def _cmd_hylo(args) -> int:
+    from .finstruct import enumerate_hylo
+    from .jsonio import load_algebra, load_coalgebra
+
     coalg = load_coalgebra(args.coalgebra)
     alg = load_algebra(args.algebra)
     solutions = enumerate_hylo(coalg, alg, args.budget)
@@ -79,6 +60,9 @@ def _cmd_hylo(args) -> int:
 
 
 def _cmd_safety(args) -> int:
+    from .jsonio import load_transition_system
+    from .lattice import safety_check
+
     verdict = safety_check(load_transition_system(args.system))
     out = {"result": verdict.result, "stage": verdict.stage}
     if not verdict.is_safe:
@@ -95,6 +79,9 @@ def _parse_state_set(text: str | None, fallback) -> frozenset[str]:
 
 
 def _cmd_galois(args) -> int:
+    from .jsonio import load_transition_system
+    from .lattice import MonotoneOp, galois_check, mu_post, nu_pre
+
     ts = load_transition_system(args.system)
     op = MonotoneOp.from_transition_system(ts)
     post_start = _parse_state_set(args.post, ts.init)
@@ -114,6 +101,9 @@ def _cmd_galois(args) -> int:
 
 
 def _cmd_nu_enum(args) -> int:
+    from .jsonio import load_algebra, prefix_to_json
+    from .nu import enum_nu_prefixes
+
     alg = load_algebra(args.algebra)
     prefixes = enum_nu_prefixes(alg, args.root, args.depth, args.budget)
     _emit(
@@ -126,6 +116,9 @@ def _cmd_nu_enum(args) -> int:
 
 
 def _cmd_nu_check(args) -> int:
+    from .jsonio import load_algebra, load_prefix
+    from .nu import is_a_guided
+
     alg = load_algebra(args.algebra)
     prefix = load_prefix(args.prefix)
     _emit({"guided": is_a_guided(alg, prefix)})
@@ -133,6 +126,9 @@ def _cmd_nu_check(args) -> int:
 
 
 def _cmd_cartesian(args) -> int:
+    from .jsonio import load_coalgebra
+    from .nu import classify_cartesian
+
     coalg = load_coalgebra(args.coalgebra)
     pairs = classify_cartesian(coalg, args.bound, args.budget)
     out = {
@@ -148,6 +144,9 @@ def _cmd_cartesian(args) -> int:
 
 
 def _cmd_recursive(args) -> int:
+    from .finstruct import all_algebras, check_recursive_on, count_algebras
+    from .jsonio import load_coalgebra
+
     coalg = load_coalgebra(args.coalgebra)
     count_algebras(coalg.sig, args.max_carrier, args.budget)
     tested = 0
@@ -171,6 +170,8 @@ def _cmd_recursive(args) -> int:
 
 
 def _cmd_sierpinski(args) -> int:
+    from .fractal import write_pgm
+
     pixels = write_pgm(args.out, args.depth, args.res)
     _emit(
         {
@@ -184,6 +185,8 @@ def _cmd_sierpinski(args) -> int:
 
 
 def _cmd_carpet_member(args) -> int:
+    from .fractal import carpet_member
+
     _emit(
         {
             "member": carpet_member(args.x, args.y, args.depth),
@@ -193,7 +196,10 @@ def _cmd_carpet_member(args) -> int:
     return 0
 
 
-def _random_machine(rng: random.Random) -> FinCoalgebra:
+def _random_machine(rng: random.Random):
+    from .finstruct import FinCoalgebra
+    from .sigterm import Signature
+
     sig = Signature((("f", 2), ("g", 1), ("c", 0)))
     n = rng.randrange(1, 5)
     states = tuple(f"x{i}" for i in range(n))
@@ -204,7 +210,9 @@ def _random_machine(rng: random.Random) -> FinCoalgebra:
     return FinCoalgebra(sig, states, step)
 
 
-def _random_algebra(rng: random.Random, sig, size: int) -> FinAlgebra:
+def _random_algebra(rng: random.Random, sig, size: int):
+    from .finstruct import FinAlgebra
+
     carrier = tuple(str(i) for i in range(size))
     table = {}
     for op, arity in sig.symbols:
@@ -214,6 +222,18 @@ def _random_algebra(rng: random.Random, sig, size: int) -> FinAlgebra:
 
 
 def _cmd_selftest(args) -> int:
+    from .finstruct import enumerate_hylo, is_ca_morphism
+    from .lattice import (
+        MonotoneOp,
+        f_apply,
+        galois_check,
+        mu_post,
+        nu_pre,
+        random_system,
+        safety_check,
+    )
+    from .nu import classify_cartesian
+
     rng = random.Random(args.seed)
     checks = 0
     failures = []

@@ -56,6 +56,10 @@ def _size(n: int) -> str:
         return f"at least 10^{e - (10**e > n)}"
 
 
+# The size budget of every enumeration, unless the caller passes its own.
+DEFAULT_BUDGET = 10**6
+
+
 class BudgetExceeded(RelfixError):
     """An enumeration would exceed its size budget; `required` is the size it asked for."""
 

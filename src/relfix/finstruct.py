@@ -13,6 +13,7 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
+    DEFAULT_BUDGET,
     ArityMismatch,
     BudgetExceeded,
     NotCaMorphism,
@@ -20,8 +21,6 @@ from .errors import (
     UnboundVariable,
 )
 from .sigterm import Signature, Term, app, postorder, validate_term, var
-
-DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import SchemaError
-from .finstruct import FinAlgebra, FinCoalgebra
-from .lattice import TransitionSystem
-from .nu import TreePrefix
-from .sigterm import Signature
+
+# Each loader imports the one class it builds, so reading a file loads only
+# the module that file's kind belongs to.
+if TYPE_CHECKING:
+    from .finstruct import FinAlgebra, FinCoalgebra
+    from .lattice import TransitionSystem
+    from .nu import TreePrefix
+    from .sigterm import Signature
 
 FORMAT_VERSION = 1
 
@@ -79,6 +83,8 @@ def _str_list(value, where: str) -> list[str]:
 
 
 def signature_from_json(obj, where: str = "signature") -> Signature:
+    from .sigterm import Signature
+
     if not isinstance(obj, dict) or not isinstance(obj.get("symbols"), list):
         raise SchemaError(f"{where}: expected an object with a \"symbols\" list")
     symbols = []
@@ -112,6 +118,8 @@ def load_signature(path) -> Signature:
 
 
 def load_coalgebra(path) -> FinCoalgebra:
+    from .finstruct import FinCoalgebra
+
     obj = _load(path, "coalgebra")
     sig = signature_from_json(obj.get("signature"), f"{path}: signature")
     states = tuple(_str_list(obj.get("states"), f"{path}: states"))
@@ -140,6 +148,8 @@ def coalgebra_to_json(coalg: FinCoalgebra) -> dict:
 
 
 def load_algebra(path) -> FinAlgebra:
+    from .finstruct import FinAlgebra
+
     obj = _load(path, "algebra")
     sig = signature_from_json(obj.get("signature"), f"{path}: signature")
     carrier = tuple(_str_list(obj.get("carrier"), f"{path}: carrier"))
@@ -175,6 +185,8 @@ def algebra_to_json(alg: FinAlgebra) -> dict:
 
 
 def load_transition_system(path) -> TransitionSystem:
+    from .lattice import TransitionSystem
+
     obj = _load(path, "transition-system")
     states = tuple(_str_list(obj.get("states"), f"{path}: states"))
     raw_delta = obj.get("delta")
@@ -201,6 +213,8 @@ def transition_system_to_json(ts: TransitionSystem) -> dict:
 
 
 def prefix_from_json(obj, where: str = "prefix") -> TreePrefix:
+    from .nu import TreePrefix
+
     if not isinstance(obj, dict) or not isinstance(obj.get("label"), str):
         raise SchemaError(f"{where}: each node needs a \"label\" string")
     if "op" not in obj and "children" not in obj:

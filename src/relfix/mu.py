@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import UnboundVariable
+from .errors import DEFAULT_BUDGET, UnboundVariable
 from .finstruct import (
-    DEFAULT_BUDGET,
     CaMorphism,
     FinAlgebra,
     FinCoalgebra,
@@ -47,9 +46,20 @@ def _check_term_over(coalg: FinCoalgebra, t: Term) -> None:
 
 def mu_equal(coalg: FinCoalgebra, s: Term, t: Term) -> bool:
     """Are s and t identified in the presented quotient?"""
+    return _presented_equal(coalg, s, t, None)
+
+
+def _presented_equal(
+    coalg: FinCoalgebra, s: Term, t: Term, eqs: EquationSet | None
+) -> bool:
+    """`mu_equal`, closing `eqs` when the caller has already built coalg's
+    presentation.  The terms are checked before any presentation or closure
+    work."""
     _check_term_over(coalg, s)
     _check_term_over(coalg, t)
-    return CongruenceClosure(mu_presentation(coalg)).equal(s, t)
+    if eqs is None:
+        eqs = mu_presentation(coalg)
+    return CongruenceClosure(eqs).equal(s, t)
 
 
 def unfold_once(coalg: FinCoalgebra, t: Term) -> Term:

@@ -3,7 +3,10 @@
 Everything here is deliberately naive and shares no code path with the
 library: plain-dict equivalence closure instead of union-find, brute-force
 filtering instead of constraint propagation, queue-based graph search instead
-of bitset iteration, and grid cells instead of coordinate digit scans.
+of bitset iteration, and grid cells instead of coordinate digit scans.  This
+module imports nothing from relfix.  It reads the library's terms only
+through their `op`, `args`, `is_var` and `node_id` attributes, and builds new
+terms only with the constructor its caller passes in.
 """
 from __future__ import annotations
 
@@ -12,26 +15,25 @@ from fractions import Fraction
 from math import floor
 from itertools import product
 
-from relfix.sigterm import EquationSet, Term, app, postorder
-
 
 # --- congruence -------------------------------------------------------------
 
-def naive_congruence_decide(eqs: EquationSet, s: Term, t: Term) -> bool:
+def naive_congruence_decide(eqs, s, t) -> bool:
     """Fixpoint closure over the subterm universe of the equations and queries.
 
     For ground equations, equality in every model is decided by the least
     equivalence on the subterm-closed universe that contains the equations
     and is closed under the congruence rule within the universe.
     """
-    universe: list[Term] = []
-    seen: set[int] = set()
-    for side in [l for l, _ in eqs.equations] + [r for _, r in eqs.equations] + [s, t]:
-        for node in postorder(side):
-            if node.node_id not in seen:
-                seen.add(node.node_id)
-                universe.append(node)
-    label = {node.node_id: node.node_id for node in universe}
+    universe = {}  # node id -> node, gathered by an explicit stack over args
+    stack = [l for l, _ in eqs.equations] + [r for _, r in eqs.equations] + [s, t]
+    while stack:
+        node = stack.pop()
+        if node.node_id not in universe:
+            universe[node.node_id] = node
+            if not node.is_var:
+                stack.extend(node.args)
+    label = {i: i for i in universe}
 
     def relabel(a: int, b: int) -> None:
         la, lb = label[a], label[b]
@@ -41,7 +43,7 @@ def naive_congruence_decide(eqs: EquationSet, s: Term, t: Term) -> bool:
             if v == lb:
                 label[k] = la
 
-    apps = [node for node in universe if not node.is_var]
+    apps = [node for node in universe.values() if not node.is_var]
     changed = True
     while changed:
         changed = False
@@ -61,12 +63,12 @@ def naive_congruence_decide(eqs: EquationSet, s: Term, t: Term) -> bool:
     return label[s.node_id] == label[t.node_id]
 
 
-def naive_variables(t: Term) -> tuple[str, ...]:
+def naive_variables(t) -> tuple[str, ...]:
     """Variable names in first-occurrence order, by a plain recursive
     left-to-right walk that revisits shared subterms."""
     out: list[str] = []
 
-    def walk(u: Term) -> None:
+    def walk(u) -> None:
         if u.args is None:
             if u.op not in out:
                 out.append(u.op)
@@ -78,20 +80,21 @@ def naive_variables(t: Term) -> tuple[str, ...]:
     return tuple(out)
 
 
-def rewrite_reachable(eqs: EquationSet, t: Term, steps: int) -> set[Term]:
-    """Terms reachable from t by at most `steps` rewrites, both directions."""
+def rewrite_reachable(eqs, t, steps: int, app) -> set:
+    """Terms reachable from t by at most `steps` rewrites, both directions.
+    `app(op, args)` builds a term, interned as the caller's terms are."""
     pairs = [(l, r) for l, r in eqs.equations] + [(r, l) for l, r in eqs.equations]
 
-    def one_step(u: Term) -> set[Term]:
-        out: set[Term] = set()
+    def one_step(u) -> set:
+        out = set()
         for lhs, rhs in pairs:
-            out |= _replace_once(u, lhs, rhs)
+            out |= _replace_once(u, lhs, rhs, app)
         return out
 
     seen = {t}
     frontier = {t}
     for _ in range(steps):
-        new: set[Term] = set()
+        new = set()
         for u in frontier:
             new |= one_step(u)
         frontier = new - seen
@@ -101,14 +104,14 @@ def rewrite_reachable(eqs: EquationSet, t: Term, steps: int) -> set[Term]:
     return seen
 
 
-def _replace_once(u: Term, lhs: Term, rhs: Term) -> set[Term]:
+def _replace_once(u, lhs, rhs, app) -> set:
     """All terms obtained by replacing exactly one occurrence of lhs in u."""
-    out: set[Term] = set()
+    out = set()
     if u is lhs:
         out.add(rhs)
     if not u.is_var:
         for i, a in enumerate(u.args):
-            for replaced in _replace_once(a, lhs, rhs):
+            for replaced in _replace_once(a, lhs, rhs, app):
                 out.add(app(u.op, u.args[:i] + (replaced,) + u.args[i + 1:]))
     return out
 

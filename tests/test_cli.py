@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -769,6 +770,74 @@ def test_console_script():
             )
             assert proc.returncode == code, (command[0], name, proc.stderr)
             assert json.loads(proc.stdout)["result"] == result
+
+
+# One command line per subcommand; "{tmp}" is a scratch directory.
+COMMAND_LINES = [
+    ["safety", DATA / "chain_safe.json"],
+    ["galois", DATA / "chain_safe.json"],
+    ["carpet-member", "1/3", "1/2"],
+    ["sierpinski", "--depth", "2", "--res", "9", "--out", "{tmp}/carpet.pgm"],
+    ["mu-eq", DATA / "two_cycle.json", "q0", "chk(q1)"],
+    ["hylo", DATA / "two_cycle.json", DATA / "flip_algebra.json"],
+    ["nu-enum", DATA / "flip_algebra.json", "--root", "0", "--depth", "2"],
+    ["nu-check", DATA / "flip_algebra.json", DATA / "guided_prefix.json"],
+    ["cartesian", DATA / "two_cycle.json"],
+    ["recursive", DATA / "two_cycle.json"],
+    ["selftest", "--trials", "1"],
+]
+
+# The lattice commands need none of the term and tree code, and the carpet
+# commands none of the lattice, term or tree code.
+NOT_LOADED = {
+    "safety": {"finstruct", "sigterm", "nu", "mu", "fractal"},
+    "galois": {"finstruct", "sigterm", "nu", "mu", "fractal"},
+    "carpet-member": {"lattice", "finstruct", "sigterm", "nu", "mu"},
+    "sierpinski": {"lattice", "finstruct", "sigterm", "nu", "mu"},
+}
+
+
+def loaded_modules(argv, tmp_path) -> set[str]:
+    """The relfix submodules a `relfix` process imports, read from the
+    `-X importtime` report on its stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    ))
+    argv = [str(a).replace("{tmp}", str(tmp_path)) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "relfix", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(re.findall(r"^import time:.*\|\s*relfix\.(\w+)$", proc.stderr, re.M))
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=lambda argv: argv[0])
+def test_subcommand_loads_only_its_modules(argv, tmp_path):
+    loaded = loaded_modules(argv, tmp_path)
+    assert {"cli", "errors", "jsonio"} <= loaded
+    assert not loaded & NOT_LOADED.get(argv[0], set()), loaded
+    assert ("mu" in loaded) == (argv[0] == "mu-eq"), loaded
+
+
+def test_traced_commands_call_the_wrappers(capsys, monkeypatch):
+    """The benchmark tracer patches each traced function where it is defined;
+    a command that imports it when it runs gets the wrapper."""
+    from test_tracer import load_tracer
+
+    t = load_tracer(monkeypatch).Tracer()
+    t.install()
+    try:
+        for argv in (["safety", DATA / "chain_safe.json"], ["carpet-member", "1/3", "1/2"]):
+            op = SimpleNamespace(family="probe", label=argv[0])
+            assert t.run_op(op, lambda _: main([str(a) for a in argv])) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert t.calls["lattice.safety_check"] == 1
+    assert t.calls["jsonio.load"] == 1
+    assert t.calls["fractal.carpet_member"] == 1
+    assert t.calls["jsonio.canonical_dumps"] == 2
 
 
 def test_no_subcommand_is_a_usage_error():

@@ -51,7 +51,7 @@ class TestWordProblem:
         assert mu_equal(b, lhs, rhs) is True
         eqs = mu_presentation(b)
         assert naive_congruence_decide(eqs, lhs, rhs) is True
-        assert rhs in rewrite_reachable(eqs, lhs, 4)
+        assert rhs in rewrite_reachable(eqs, lhs, 4, app)
 
     def test_states_not_identified(self):
         b = cases.three_state_automaton()
@@ -133,7 +133,7 @@ class TestSoundness:
         solutions = enumerate_hylo(b, a)
         for _ in range(25):
             start = var(rng.choice(b.states))
-            reachable = sorted(rewrite_reachable(eqs, start, 2), key=str)
+            reachable = sorted(rewrite_reachable(eqs, start, 2, app), key=str)
             t = reachable[rng.randrange(len(reachable))]
             f = solutions[rng.randrange(len(solutions))]
             assert mu_soundness_check(b, a, f, start, t) is True

@@ -150,7 +150,7 @@ class TestCongruence:
         assert congruence_decide(eqs, lhs, rhs) is True
         # the naive fixpoint oracle and a three-step rewrite agree
         assert naive_congruence_decide(eqs, lhs, rhs) is True
-        assert rhs in rewrite_reachable(eqs, lhs, 4)
+        assert rhs in rewrite_reachable(eqs, lhs, 4, app)
 
     def test_distinct_states_stay_distinct(self):
         eqs = binary_eqs()
@@ -294,7 +294,7 @@ class TestCongruenceProperties:
     @given(_eq_systems, _terms(2), st.integers(0, 2))
     def test_rewrites_stay_in_class(self, eqs, t, steps):
         cc = CongruenceClosure(eqs)
-        for u in rewrite_reachable(eqs, t, steps):
+        for u in rewrite_reachable(eqs, t, steps, app):
             assert cc.equal(t, u)
 
     @settings(max_examples=60, deadline=None)
