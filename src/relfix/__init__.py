@@ -20,27 +20,25 @@ _EXPORTS = {  # submodule -> the names it exports
     ),
     "finstruct": (
         "CaMorphism", "FinAlgebra", "FinCoalgebra", "all_algebras",
-        "all_coalgebras", "enumerate_hylo", "eval_term", "is_algebra_morphism",
-        "is_ca_morphism", "is_coalgebra_morphism", "is_wellfounded",
+        "all_coalgebras", "enumerate_hylo", "is_ca_morphism", "is_wellfounded",
     ),
     "fractal": (
-        "BoundaryPoint", "CellSet", "approximant", "boundary_from_xy",
-        "carpet_member", "d_path", "d_taxicab", "render", "subdivide",
-        "write_pgm",
+        "BoundaryPoint", "CellSet", "approximant", "carpet_member", "d_path",
+        "d_taxicab", "render", "subdivide", "write_pgm",
     ),
     "lattice": (
         "MonotoneOp", "SafetyVerdict", "TransitionSystem", "f_apply",
         "galois_check", "mu_post", "nu_pre", "safety_check",
     ),
-    "mu": ("mu_equal", "mu_hom_count", "mu_presentation", "unfold_once"),
+    "mu": ("mu_equal", "mu_hom_count", "mu_presentation"),
     "nu": (
-        "RationalTree", "TreePrefix", "bisimilar", "cartesian_subcoalgebras",
-        "classify_cartesian", "coextension", "enum_nu_prefixes",
-        "greatest_subcoalgebra", "is_a_guided", "meet_algebra", "next_time",
+        "RationalTree", "TreePrefix", "cartesian_subcoalgebras",
+        "classify_cartesian", "coextension", "enum_nu_prefixes", "is_a_guided",
+        "meet_algebra",
     ),
     "sigterm": (
-        "EquationSet", "Signature", "Term", "app", "congruence_classes",
-        "congruence_decide", "parse_term", "substitute", "validate_term", "var",
+        "EquationSet", "Signature", "Term", "app", "congruence_decide",
+        "parse_term", "validate_term", "var",
     ),
 }
 

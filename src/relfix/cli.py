@@ -72,10 +72,12 @@ def _cmd_safety(args) -> int:
     return 0 if verdict.is_safe else 3
 
 
-def _parse_state_set(text: str | None, fallback) -> frozenset[str]:
+def _parse_state_set(text: str | None, fallback) -> tuple[str, ...]:
+    """The states of a comma list, repeats dropped, in the order written, so
+    an unknown one is reported as the first the user named."""
     if text is None:
-        return frozenset(fallback)
-    return frozenset(s for s in text.split(",") if s)
+        return tuple(fallback)
+    return tuple(dict.fromkeys(s for s in text.split(",") if s))
 
 
 def _cmd_galois(args) -> int:

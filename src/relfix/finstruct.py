@@ -18,9 +18,8 @@ from .errors import (
     BudgetExceeded,
     NotCaMorphism,
     SignatureMismatch,
-    UnboundVariable,
 )
-from .sigterm import Signature, Term, app, postorder, validate_term, var
+from .sigterm import Signature, Term, app, var
 
 
 @dataclass(frozen=True)
@@ -108,20 +107,6 @@ class FinAlgebra:
         if out is None:
             raise ValueError(f"no interpretation for {op}{args}")
         return out
-
-
-def eval_term(alg: FinAlgebra, env: Mapping[str, str], t: Term) -> str:
-    """Value of a term under the algebra, with variables read from env."""
-    validate_term(alg.sig, t)
-    memo: dict[int, str] = {}
-    for node in postorder(t):
-        if node.is_var:
-            if node.op not in env:
-                raise UnboundVariable(node.op)
-            memo[node.node_id] = env[node.op]
-        else:
-            memo[node.node_id] = alg.app(node.op, tuple(memo[a.node_id] for a in node.args))
-    return memo[t.node_id]
 
 
 def _check_shared_signature(coalg: FinCoalgebra, alg: FinAlgebra) -> None:
@@ -279,41 +264,6 @@ def check_recursive_on(
 ) -> bool:
     """Does the machine admit exactly one solution against every given algebra?"""
     return all(len(enumerate_hylo(coalg, alg, budget)) == 1 for alg in algebras)
-
-
-def is_coalgebra_morphism(
-    src: FinCoalgebra, dst: FinCoalgebra, g: Mapping[str, str]
-) -> bool:
-    """Does g commute with steps: step(g(x)) = (op, g(args)) where step(x) = (op, args)?"""
-    if src.sig != dst.sig:
-        raise SignatureMismatch("machines interpret different signatures")
-    for x in src.states:
-        if x not in g or g[x] not in dst.step:
-            raise ValueError(f"map is not total on states or lands outside: '{x}'")
-    for x in src.states:
-        op, args = src.step[x]
-        dop, dargs = dst.step[g[x]]
-        if dop != op or dargs != tuple(g[y] for y in args):
-            return False
-    return True
-
-
-def is_algebra_morphism(src: FinAlgebra, dst: FinAlgebra, h: Mapping[str, str]) -> bool:
-    """Does h commute with every operation of the shared signature?"""
-    if src.sig != dst.sig:
-        raise SignatureMismatch("algebras interpret different signatures")
-    for c in src.carrier:
-        if c not in h:
-            raise ValueError(f"map is not total: carrier element '{c}' missing")
-    dst_carrier = set(dst.carrier)
-    for op, arity in src.sig.symbols:
-        for args in product(src.carrier, repeat=arity):
-            if h[src.app(op, args)] != dst.app(op, tuple(h[c] for c in args)):
-                return False
-    for c in src.carrier:
-        if h[c] not in dst_carrier:
-            return False
-    return True
 
 
 def _saturating_pow(base: int, exp: int, cap: int) -> int:

@@ -184,19 +184,6 @@ class BoundaryPoint:
         return pos % 4
 
 
-def boundary_from_xy(x: Coord, y: Coord) -> BoundaryPoint:
-    fx, fy = Fraction(x), Fraction(y)
-    if fy == 0 and 0 <= fx <= 1:
-        return BoundaryPoint("bottom", fx)
-    if fx == 1 and 0 <= fy <= 1:
-        return BoundaryPoint("right", fy)
-    if fy == 1 and 0 <= fx <= 1:
-        return BoundaryPoint("top", fx)
-    if fx == 0 and 0 <= fy <= 1:
-        return BoundaryPoint("left", fy)
-    raise ValueError(f"({x}, {y}) is not on the boundary of the unit square")
-
-
 def d_taxicab(p: BoundaryPoint, q: BoundaryPoint) -> Fraction:
     """Coordinate distance |dx| + |dy| between the two points."""
     (px, py), (qx, qy) = p.xy, q.xy

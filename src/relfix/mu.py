@@ -8,24 +8,9 @@ the recursion square, which gives the hom-count below.
 """
 from __future__ import annotations
 
-from typing import Mapping
-
 from .errors import DEFAULT_BUDGET, UnboundVariable
-from .finstruct import (
-    CaMorphism,
-    FinAlgebra,
-    FinCoalgebra,
-    enumerate_hylo,
-    eval_term,
-)
-from .sigterm import (
-    CongruenceClosure,
-    EquationSet,
-    Term,
-    substitute,
-    validate_term,
-    var,
-)
+from .finstruct import FinAlgebra, FinCoalgebra, enumerate_hylo
+from .sigterm import CongruenceClosure, EquationSet, Term, validate_term, var
 
 
 def mu_presentation(coalg: FinCoalgebra) -> EquationSet:
@@ -62,30 +47,9 @@ def _presented_equal(
     return CongruenceClosure(eqs).equal(s, t)
 
 
-def unfold_once(coalg: FinCoalgebra, t: Term) -> Term:
-    """Replace every state variable in t by its flat successor term."""
-    _check_term_over(coalg, t)
-    return substitute(t, {x: coalg.step_term(x) for x in coalg.states})
-
-
 def mu_hom_count(
     coalg: FinCoalgebra, alg: FinAlgebra, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Number of algebra maps out of the presented quotient, counted through
     the one-to-one correspondence with solutions of the square."""
     return len(enumerate_hylo(coalg, alg, budget))
-
-
-def mu_soundness_check(
-    coalg: FinCoalgebra,
-    alg: FinAlgebra,
-    f: Mapping[str, str],
-    s: Term,
-    t: Term,
-) -> bool:
-    """Identified terms evaluate equally under any solution f; returns that
-    comparison, which the library promises to be true."""
-    f = CaMorphism(coalg, alg, f).mapping
-    if not mu_equal(coalg, s, t):
-        raise ValueError("the two terms are not identified by the presentation")
-    return eval_term(alg, f, s) == eval_term(alg, f, t)

@@ -5,7 +5,8 @@ A-labeled trees where a node labeled x carrying symbol op with child labels
 y1..yk satisfies a(op)(y1,...,yk) = x.  The full trees are usually infinite;
 this module works with finite prefixes, with rational trees presented by a
 machine plus a labeling, and with the subset form of the same idea: the
-next-time operator on state sets and its fixed points.
+fixed points of next-time, the right adjoint `box_mask` of a machine's
+successor image, which are the solutions into the meet algebra.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import inf
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DEFAULT_BUDGET, BijectionViolation, BoundExceeded, BudgetExceeded
 from .finstruct import (
@@ -51,14 +52,6 @@ class TreePrefix:
     @property
     def is_leaf(self) -> bool:
         return self.op is None
-
-    def truncate(self, depth: int) -> "TreePrefix":
-        """Cut the prefix to the given depth; cut points become leaves."""
-        if depth <= 0 or self.is_leaf:
-            return TreePrefix(self.label)
-        return TreePrefix(
-            self.label, self.op, tuple(c.truncate(depth - 1) for c in self.children)
-        )
 
 
 def tree_fibers(alg: FinAlgebra) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
@@ -187,25 +180,6 @@ class RationalTree:
         return _build_prefixes(self.start, depth, self.labeling.get, steps, inf)[0]
 
 
-def bisimilar(u: RationalTree, v: RationalTree) -> bool:
-    """Do two rational trees unfold to the same labeled tree?"""
-    seen: set[tuple[str, str]] = set()
-    todo = [(u.start, v.start)]
-    while todo:
-        x, y = todo.pop()
-        if (x, y) in seen:
-            continue
-        seen.add((x, y))
-        if u.labeling[x] != v.labeling[y]:
-            return False
-        xop, xargs = u.machine.step[x]
-        yop, yargs = v.machine.step[y]
-        if xop != yop or len(xargs) != len(yargs):
-            return False
-        todo.extend(zip(xargs, yargs))
-    return True
-
-
 def coextension(
     coalg: FinCoalgebra, alg: FinAlgebra, f: Mapping[str, str], start: str
 ) -> RationalTree:
@@ -242,30 +216,6 @@ def count_coalg_homs_to_nu(
 def _successor_op(coalg: FinCoalgebra) -> MonotoneOp:
     """The successor image of a machine; next-time is its right adjoint."""
     return MonotoneOp(coalg.states, {x: args for x, (_, args) in coalg.step.items()})
-
-
-def next_time(coalg: FinCoalgebra, u: Iterable[str]) -> frozenset[str]:
-    """States whose every successor lies in u (vacuously, nullary steps)."""
-    op = _successor_op(coalg)
-    return op.set_of(op.box_mask(op.mask_of(u)))
-
-
-def greatest_subcoalgebra(
-    coalg: FinCoalgebra, within: Iterable[str] | None = None
-) -> frozenset[str]:
-    """The largest U inside `within` with U contained in next_time(U).
-
-    Computed by shrinking `within` until stable.  Started from all states
-    this is the greatest fixed point of next_time; below a proper subset it
-    yields the greatest invariant subset, which need not be a fixed point.
-    """
-    op = _successor_op(coalg)
-    u = op.mask_of(coalg.states if within is None else within)
-    while True:
-        nxt = u & op.box_mask(u)
-        if nxt == u:
-            return op.set_of(u)
-        u = nxt
 
 
 def cartesian_subcoalgebras(coalg: FinCoalgebra, bound: int = 16) -> list[tuple[str, ...]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import ArityMismatch, DepthLimit, ParseError, UnknownSymbol
 
@@ -148,17 +148,6 @@ def postorder(t: Term) -> Iterator[Term]:
             for a in reversed(node.args):
                 if a.node_id not in seen:
                     stack.append((a, False))
-
-
-def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
-    """Replace each variable by its image under `mapping` (missing ones stay)."""
-    memo: dict[int, Term] = {}
-    for node in postorder(t):
-        if node.is_var:
-            memo[node.node_id] = mapping.get(node.op, node)
-        else:
-            memo[node.node_id] = app(node.op, tuple(memo[a.node_id] for a in node.args))
-    return memo[t.node_id]
 
 
 def validate_term(sig: Signature, t: Term) -> None:
@@ -347,10 +336,3 @@ def congruence_decide(eqs: EquationSet, s: Term, t: Term) -> bool:
     validate_term(eqs.sig, s)
     validate_term(eqs.sig, t)
     return CongruenceClosure(eqs).equal(s, t)
-
-
-def congruence_classes(eqs: EquationSet, terms: Iterable[Term]) -> list[list[Term]]:
-    terms = list(terms)
-    for t in terms:
-        validate_term(eqs.sig, t)
-    return CongruenceClosure(eqs).classes(terms)

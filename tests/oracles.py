@@ -5,8 +5,10 @@ library: plain-dict equivalence closure instead of union-find, brute-force
 filtering instead of constraint propagation, queue-based graph search instead
 of bitset iteration, and grid cells instead of coordinate digit scans.  This
 module imports nothing from relfix.  It reads the library's terms only
-through their `op`, `args`, `is_var` and `node_id` attributes, and builds new
-terms only with the constructor its caller passes in.
+through their `op`, `args`, `is_var` and `node_id` attributes, and tree
+prefixes through `label`, `op` and `children`; it builds new terms and
+prefixes, and applies an algebra's operations, only with the functions its
+caller passes in.
 """
 from __future__ import annotations
 
@@ -116,6 +118,22 @@ def _replace_once(u, lhs, rhs, app) -> set:
     return out
 
 
+def substitute(t, mapping: dict, app):
+    """t with each variable replaced by its image under `mapping` (missing
+    ones stay), by plain recursion.  `app(op, args)` builds a term."""
+    if t.is_var:
+        return mapping.get(t.op, t)
+    return app(t.op, tuple(substitute(a, mapping, app) for a in t.args))
+
+
+def evaluate(t, env: dict, interpret):
+    """Value of t with variables read from `env`, by plain recursion that
+    revisits shared subterms.  `interpret(op, values)` applies an operation."""
+    if t.is_var:
+        return env[t.op]
+    return interpret(t.op, tuple(evaluate(a, env, interpret) for a in t.args))
+
+
 # --- recursion-square solutions --------------------------------------------
 
 def brute_force_hylo(coalg, alg) -> list[dict]:
@@ -215,11 +233,15 @@ def naive_next_time_fixed_points(coalg) -> list[frozenset]:
     return out
 
 
-def naive_greatest_invariant(coalg, within) -> frozenset:
-    """`within` minus every state that can reach a state outside it."""
-    delta = {x: coalg.step[x][1] for x in coalg.states}
-    outside = set(coalg.states) - set(within)
-    return frozenset(x for x in within if not bfs_reachable(delta, [x]) & outside)
+# --- tree prefixes ---------------------------------------------------------
+
+def truncate(prefix, depth: int, node):
+    """A tree prefix cut to `depth`; cut points become leaves.  `node(label)`
+    builds a leaf and `node(label, op, children)` an expanded node."""
+    if depth <= 0 or prefix.op is None:
+        return node(prefix.label)
+    children = tuple(truncate(c, depth - 1, node) for c in prefix.children)
+    return node(prefix.label, prefix.op, children)
 
 
 # --- carpet -----------------------------------------------------------------

@@ -332,14 +332,24 @@ def test_missing_file(capsys, tmp_path):
     assert code == 2
 
 
-def run_process(*argv, timeout=60):
+def run_process(*argv, timeout=60, **env_vars):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    ))
+    ), **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "relfix", *map(str, argv)],
         capture_output=True, text=True, timeout=timeout, env=env,
     )
+
+
+def test_galois_names_the_first_unknown_state_under_any_hash_seed():
+    # starts keep the order written, so string hashing cannot pick the state named
+    for seed in ("0", "2"):
+        proc = run_process(
+            "galois", DATA / "chain_unsafe.json", "--post", "a,b,c,d", "--pre", "c",
+            PYTHONHASHSEED=seed,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "error: 'a' is not a state\n")
 
 
 def test_too_deep_prefix_is_an_input_error(tmp_path):

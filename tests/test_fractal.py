@@ -13,7 +13,6 @@ from relfix.fractal import (
     BoundaryPoint,
     CellSet,
     approximant,
-    boundary_from_xy,
     carpet_member,
     d_path,
     d_taxicab,
@@ -212,14 +211,14 @@ def random_boundary_point(rng: random.Random) -> BoundaryPoint:
 
 class TestMetrics:
     def test_opposite_corners(self):
-        p = boundary_from_xy(0, 0)
-        q = boundary_from_xy(1, 1)
+        p = BoundaryPoint("bottom", 0)  # (0, 0)
+        q = BoundaryPoint("right", 1)  # (1, 1)
         assert d_taxicab(p, q) == 2
         assert d_path(p, q) == 2
 
     def test_adjacent_corners(self):
-        p = boundary_from_xy(0, 0)
-        q = boundary_from_xy(0, 1)
+        p = BoundaryPoint("bottom", 0)  # (0, 0)
+        q = BoundaryPoint("top", 0)  # (0, 1)
         assert d_taxicab(p, q) == 1
         assert d_path(p, q) == 1
 
@@ -257,7 +256,3 @@ class TestMetrics:
             p, q, r = (random_boundary_point(rng) for _ in range(3))
             assert d_taxicab(p, r) <= d_taxicab(p, q) + d_taxicab(q, r)
             assert d_path(p, r) <= d_path(p, q) + d_path(q, r)
-
-    def test_from_xy_rejects_interior(self):
-        with pytest.raises(ValueError):
-            boundary_from_xy("1/2", "1/2")

@@ -8,27 +8,24 @@ from relfix import jsonio, nu
 from relfix.cli import main
 from relfix.errors import BoundExceeded, BudgetExceeded, NotCaMorphism
 from relfix.finstruct import FinAlgebra, FinCoalgebra, all_coalgebras, enumerate_hylo
-from relfix.lattice import WORD_STATES, MonotoneOp
+from relfix.lattice import MonotoneOp
 from relfix.nu import (
     RationalTree,
     TreePrefix,
-    bisimilar,
     cartesian_subcoalgebras,
     classify_cartesian,
     coextension,
     count_coalg_homs_to_nu,
     enum_nu_prefixes,
-    greatest_subcoalgebra,
     is_a_guided,
     meet_algebra,
-    next_time,
     tree_fibers,
 )
 from relfix.sigterm import Signature
 
 import cases
-from gen import MIXED, random_algebra, random_machine, random_mixed_machines
-from oracles import naive_greatest_invariant, naive_next_time_fixed_points
+from gen import MIXED, random_algebra, random_machine
+from oracles import naive_next_time_fixed_points, truncate
 
 
 def leaf(label):
@@ -99,7 +96,7 @@ class TestEnumPrefixes:
             for prefix in enum_nu_prefixes(alg, root, 3):
                 assert is_a_guided(alg, prefix)
                 for d in range(4):
-                    assert is_a_guided(alg, prefix.truncate(d))
+                    assert is_a_guided(alg, truncate(prefix, d, TreePrefix))
 
     def test_deeper_enumeration_truncates_to_shallower(self):
         alg = cases.flip_algebra()
@@ -107,7 +104,7 @@ class TestEnumPrefixes:
             shallow = enum_nu_prefixes(alg, root, d)
             truncated = []
             for prefix in enum_nu_prefixes(alg, root, d + 1):
-                cut = prefix.truncate(d)
+                cut = truncate(prefix, d, TreePrefix)
                 if cut not in truncated:
                     truncated.append(cut)
             assert truncated == shallow
@@ -241,6 +238,8 @@ class TestCoextension:
 
 
 class TestBisimilar:
+    """Bisimilar rational trees unfold to the same prefix at every depth."""
+
     def test_cycles_of_different_length_same_tree(self):
         b2 = cases.chk_two_cycle()
         b4 = cases.unary_machine(
@@ -248,13 +247,16 @@ class TestBisimilar:
         )
         t2 = RationalTree(b2, {"q0": "0", "q1": "1"}, "q0")
         t4 = RationalTree(b4, {"p0": "0", "p1": "1", "p2": "0", "p3": "1"}, "p0")
-        assert bisimilar(t2, t4) is True
-        assert bisimilar(t2, RationalTree(b4, t4.labeling, "p1")) is False
+        shifted = RationalTree(b4, t4.labeling, "p1")
+        for d in range(6):
+            assert t2.unfold(d) == t4.unfold(d)
+            assert t2.unfold(d) != shifted.unfold(d)
 
     def test_op_mismatch_detected(self):
         chk = RationalTree(cases.chk_loop(), {"q": "0"}, "q")
         cross = RationalTree(cases.cross_loop(), {"q": "0"}, "q")
-        assert bisimilar(chk, cross) is False
+        assert chk.unfold(0) == cross.unfold(0)
+        assert chk.unfold(1) != cross.unfold(1)
 
 
 class TestCountHoms:
@@ -283,64 +285,48 @@ class TestCountHoms:
 
 
 class TestNextTime:
+    """Next-time on a machine is `box_mask` of its successor image."""
+
     def test_full_set_is_fixed(self):
-        b = cases.three_state_automaton()
-        assert next_time(b, b.states) == frozenset(b.states)
+        op = nu._successor_op(cases.three_state_automaton())
+        full = op.mask_of(op.states)
+        assert op.box_mask(full) == full
 
     def test_empty_set_catches_nullary_steps(self):
-        assert next_time(cases.three_state_automaton(), ()) == frozenset()
-        assert next_time(cases.acyclic_pq(), ()) == frozenset({"q"})
+        assert nu._successor_op(cases.three_state_automaton()).box_mask(0) == 0
+        op = nu._successor_op(cases.acyclic_pq())
+        assert op.set_of(op.box_mask(0)) == {"q"}
 
     def test_single_state_fiber(self):
-        b = cases.three_state_automaton()
-        assert next_time(b, {"q2"}) == frozenset({"q2"})
-        assert next_time(b, {"q0", "q1"}) == frozenset({"q1"})
+        op = nu._successor_op(cases.three_state_automaton())
+        assert op.set_of(op.box_mask(op.mask_of({"q2"}))) == {"q2"}
+        assert op.set_of(op.box_mask(op.mask_of({"q0", "q1"}))) == {"q1"}
 
     def test_monotone(self):
         rng = random.Random(5)
-        b = cases.three_state_automaton()
+        op = nu._successor_op(cases.three_state_automaton())
         for _ in range(50):
-            u = {x for x in b.states if rng.random() < 0.5}
-            v = u | {x for x in b.states if rng.random() < 0.5}
-            assert next_time(b, u) <= next_time(b, v)
+            u = rng.getrandbits(3)
+            v = u | rng.getrandbits(3)
+            assert op.box_mask(u) & ~op.box_mask(v) == 0
 
     def test_rejects_non_states(self):
         with pytest.raises(ValueError):
-            next_time(cases.cross_loop(), {"nope"})
+            nu._successor_op(cases.cross_loop()).mask_of({"nope"})
 
     def test_packaged_operator_matches_function(self):
         b = cases.three_state_automaton()
-        op = MonotoneOp(b.states, {x: b.successors(x) for x in b.states})
+        op = nu._successor_op(b)
         for u in ((), ("q2",), b.states):
-            assert op.set_of(op.box_mask(op.mask_of(u))) == next_time(b, u)
+            want = {x for x in b.states if set(b.successors(x)) <= set(u)}
+            assert op.set_of(op.box_mask(op.mask_of(u))) == want
 
 
 class TestGreatestSubcoalgebra:
     def test_from_everything_is_a_fixed_point(self):
+        # the greatest next-time fixed point is every state, listed last
         for b in (cases.three_state_automaton(), cases.chk_loop(), cases.acyclic_pq()):
-            g = greatest_subcoalgebra(b)
-            assert next_time(b, g) == g
-            for p in cartesian_subcoalgebras(b):
-                assert frozenset(p) <= g
-
-    def test_below_a_subset_only_invariant(self):
-        b = cases.unary_machine({"a": ("cross", "b"), "b": ("cross", "b")})
-        g = greatest_subcoalgebra(b, {"b"})
-        assert g == frozenset({"b"})
-        assert g < next_time(b, g)  # invariant but not fixed below this subset
-
-    def test_matches_reachability_oracle(self):
-        # three machines past WORD_STATES, where box_mask reads index lists
-        wide = random.Random(38)
-        machines = random_mixed_machines(seed=37, count=200) + [
-            random_machine(wide, MIXED, n) for n in (WORD_STATES + 1, 100, 200)
-        ]
-        rng = random.Random(37)
-        for b in machines:
-            assert greatest_subcoalgebra(b) == naive_greatest_invariant(b, b.states)
-            for _ in range(5):
-                within = frozenset(x for x in b.states if rng.random() < 0.6)
-                assert greatest_subcoalgebra(b, within) == naive_greatest_invariant(b, within)
+            assert cartesian_subcoalgebras(b)[-1] == b.states
 
 
 class TestCartesian:
@@ -392,10 +378,11 @@ class TestCartesian:
 
     def test_invariant_subset_need_not_be_fixed(self):
         b = cases.unary_machine({"a": ("cross", "b"), "b": ("cross", "b")})
-        p = frozenset({"b"})
-        assert p <= next_time(b, p)
-        assert p != next_time(b, p)
-        assert tuple(sorted(p)) not in cartesian_subcoalgebras(b)
+        op = nu._successor_op(b)
+        p = op.mask_of({"b"})
+        assert op.box_mask(p) & p == p
+        assert op.box_mask(p) != p
+        assert ("b",) not in cartesian_subcoalgebras(b)
 
 
 class TestMeetAlgebra:

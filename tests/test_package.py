@@ -5,6 +5,7 @@ import ast
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,19 @@ def test_oracles_import_nothing_from_relfix():
             imported.append(node.module or "")
     assert imported, "no imports found; the parse read the wrong file"
     assert not [m for m in imported if m.split(".")[0] == "relfix"], imported
+
+
+def test_every_export_has_a_caller():
+    """Each exported name is used by the library, a script, the benchmark or
+    an acceptance criterion, not only by its own tests.  Uses are name tokens
+    outside `__init__.py`, other than the name's own `def` or `class`."""
+    files = [p for p in (ROOT / "src" / "relfix").glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "scripts").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    used: set[str] = set()
+    for path in files:
+        with path.open("rb") as f:
+            tokens = [t for t in tokenize.tokenize(f.readline) if t.type == tokenize.NAME]
+        used.update(t.string for prev, t in zip([None, *tokens], tokens)
+                    if prev is None or prev.string not in ("def", "class"))
+    assert [name for name in relfix.__all__ if name not in used] == []
