@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -153,6 +154,16 @@ def _users(coalg: FinCoalgebra) -> dict[str, list[str]]:
     return users
 
 
+def _values_of(args: tuple[str, ...]):
+    """A function that reads the values of `args` (at least one) out of an
+    assignment, as a tuple.  `itemgetter` does it without the frame a list
+    comprehension costs, but returns a bare value for a single key."""
+    if len(args) == 1:
+        y = args[0]
+        return lambda assignment: (assignment[y],)
+    return itemgetter(*args)
+
+
 def enumerate_hylo(
     coalg: FinCoalgebra, alg: FinAlgebra, budget: int = DEFAULT_BUDGET
 ) -> list[dict[str, str]]:
@@ -165,6 +176,13 @@ def enumerate_hylo(
     arguments all survive, plus `default`, which the unstated tuples take.
     If the surviving search space still exceeds `budget`, the enumeration
     refuses to run rather than run long.
+
+    The search assigns states in declaration order and tries values in
+    carrier order, checking forward (Haralick and Elliott, 1980): once all
+    but the last state of a square are assigned, the square filters that
+    state's candidates, and a filter that empties them rejects the value
+    just assigned.  Filters are undone on backtrack, so the solutions and
+    their order are those of the plain depth-first search.
     """
     _check_shared_signature(coalg, alg)
     states = coalg.states
@@ -207,40 +225,88 @@ def enumerate_hylo(
         raise BudgetExceeded(full, budget)
 
     index = {x: i for i, x in enumerate(states)}
-    # the square at z is checkable once z and all its successors are assigned
-    ready: list[list[tuple[str, str, tuple[str, ...]]]] = [[] for _ in states]
+    # plan[i]: the squares (z, op, args) whose states other than the last, u,
+    # are all assigned once states[i] is, each as (u, forced, z, op, values)
+    # with values = _values_of(args).  When u is z and not one of its own
+    # successors, the square forces z's value; otherwise each candidate of u
+    # is tried.  A square over a single state filters it once, before the
+    # search.
+    plan: list[list] = [[] for _ in states]
     for z in states:
         op, args = coalg.step[z]
-        slot = index[z]
+        # top: the square's last state; prev: the one before it, if any
+        top, prev = index[z], -1
         for y in args:
-            slot = max(slot, index[y])
-        ready[slot].append((z, op, args))
+            j = index[y]
+            if j > top:
+                top, prev = j, top
+            elif prev < j < top:
+                prev = j
+        if prev >= 0:
+            u = states[top]
+            plan[prev].append((u, u is z and z not in args, z, op, _values_of(args)))
+        elif args:
+            # z = op(z, ..., z); narrowing has already settled z = op()
+            kept = [c for c in candidates[z] if get((op, (c,) * len(args)), default) == c]
+            if not kept:
+                return []
+            candidates[z] = kept
 
     if not states:
         return [{}]
+    final = states[-1]
+    if len(states) == 1:
+        return [{final: c} for c in candidates[final]]
     out: list[dict[str, str]] = []
-    assignment: dict[str, str] = {}
-    # stack[i] yields the untried candidates of states[i]; depth-first order
-    stack = [iter(candidates[states[0]])]
+    # keys in state order: a scan writes assignment[u] before u's turn
+    assignment: dict[str, str] = dict.fromkeys(states)
+    trail: list[tuple[str, list[str]]] = []  # (u, candidates before a filter)
+    # stack[i]: the untried candidates of states[i] and the trail length to
+    # undo to before each of them; depth-first order.  Every square has
+    # filtered the last state's candidates before its turn, so each of them
+    # completes a solution.
+    stack = [(iter(candidates[states[0]]), 0)]
     while stack:
         i = len(stack) - 1
-        x = states[i]
-        for c in stack[i]:
+        x, squares = states[i], plan[i]
+        untried, mark = stack[i]
+        for c in untried:
+            while len(trail) > mark:
+                u, pool = trail.pop()
+                candidates[u] = pool
             assignment[x] = c
-            ok = True
-            for z, op, args in ready[i]:
-                if assignment[z] != get((op, tuple([assignment[y] for y in args])), default):
-                    ok = False
-                    break
-            if ok:
+            for u, forced, z, op, values in squares:
+                pool = candidates[u]
+                if forced:
+                    d = get((op, values(assignment)), default)
+                    if d not in pool:
+                        break
+                    if len(pool) == 1:
+                        continue
+                    kept = [d]
+                else:
+                    kept = []
+                    for d in pool:
+                        assignment[u] = d
+                        if assignment[z] == get((op, values(assignment)), default):
+                            kept.append(d)
+                    if not kept:
+                        break
+                    if len(kept) == len(pool):
+                        continue
+                trail.append((u, pool))
+                candidates[u] = kept
+            else:
                 break
         else:
             stack.pop()
             continue
-        if len(stack) == len(states):
-            out.append(dict(assignment))
+        if i + 2 < len(states):
+            stack.append((iter(candidates[states[i + 1]]), len(trail)))
         else:
-            stack.append(iter(candidates[states[i + 1]]))
+            for c in candidates[final]:
+                assignment[final] = c
+                out.append(dict(assignment))
     return out
 
 

@@ -198,11 +198,12 @@ def count_coalg_homs_to_nu(
     distinct.  Any failed check raises BijectionViolation.
     """
     solutions = enumerate_hylo(coalg, alg, budget)
-    seen: list[dict[str, str]] = []
+    seen: set[tuple[str, ...]] = set()  # each solution's values in state order
     for f in solutions:
-        if f in seen:
+        values = tuple([f[x] for x in coalg.states])
+        if values in seen:
             raise BijectionViolation("duplicate solution in enumeration")
-        seen.append(f)
+        seen.add(values)
         for x in coalg.states:
             tree = coextension(coalg, alg, f, x)
             if tree.root_label != f[x]:
@@ -239,14 +240,25 @@ def meet_algebra(sig: Signature) -> FinAlgebra:
     return FinAlgebra(sig, ("0", "1"), table, default="0")
 
 
+@lru_cache(maxsize=None)
+def _meet_row_cells(sig: Signature) -> int:
+    """The argument cells of `meet_algebra(sig)`'s rows: the sum of the
+    arities, which a declared but unused symbol can make huge."""
+    return sum(arity for _, arity in sig.symbols)
+
+
 def classify_cartesian(
     coalg: FinCoalgebra, bound: int = 16, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[tuple[str, ...], dict[str, str]]]:
     """Pair each next-time fixed point P with its indicator map into the meet
     algebra, and verify the pairing is exactly the solution set of the square.
-    The budget bounds the 2^n subsets tested as well as the solution search."""
+    The budget bounds the 2^n subsets tested, the meet algebra's row cells
+    and the solution search."""
     if 1 << len(coalg.states) > budget:
         raise BudgetExceeded(1 << len(coalg.states), budget)
+    cells = _meet_row_cells(coalg.sig)
+    if cells > budget:
+        raise BudgetExceeded(cells, budget)
     subsets = cartesian_subcoalgebras(coalg, bound)
     alg = meet_algebra(coalg.sig)
     solutions = enumerate_hylo(coalg, alg, budget)
@@ -255,8 +267,9 @@ def classify_cartesian(
         inside = set(subset)
         chi = {x: ("1" if x in inside else "0") for x in coalg.states}
         pairs.append((subset, chi))
-    got = {frozenset(chi.items()) for _, chi in pairs}
-    want = {frozenset(f.items()) for f in solutions}
+    # both sides key their maps in state order
+    got = {tuple(chi.values()) for _, chi in pairs}
+    want = {tuple(f.values()) for f in solutions}
     if got != want or len(pairs) != len(solutions):
         raise BijectionViolation(
             "next-time fixed points and square solutions do not match"

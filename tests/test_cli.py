@@ -427,6 +427,21 @@ def test_nu_enum_sizes_a_huge_arity_without_its_power(tmp_path):
     assert proc.stderr == "error: enumeration of size 1000001 exceeds budget 1000000\n"
 
 
+def test_cartesian_refuses_the_meet_row_of_an_unused_wide_symbol(tmp_path):
+    # the meet algebra's p-row would hold 10^8 cells, though no step uses p
+    f = tmp_path / "m.json"
+    f.write_text(
+        '{"format": 1, "kind": "coalgebra", "signature": {"symbols": [{"name": "c", "arity": 0}, '
+        '{"name": "p", "arity": 100000000}]}, "states": ["q"], '
+        '"step": {"q": {"op": "c", "args": []}}}\n'
+    )
+    start = time.perf_counter()
+    proc = run_process("cartesian", f, "--classify", timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr == "error: enumeration of size 100000000 exceeds budget 1000000\n"
+
+
 def g_ring_against_successor(tmp_path):
     """A 4100-state g-ring and the successor algebra on 12 elements: every
     state keeps all 12 values, so the space is 12^4100."""

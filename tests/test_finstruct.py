@@ -26,7 +26,7 @@ from relfix.finstruct import (
 from relfix.sigterm import Signature, parse_term
 
 import cases
-from gen import random_machine, random_mixed_machines, random_sparse_algebra
+from gen import MIXED, random_algebra, random_machine, random_mixed_machines, random_sparse_algebra
 from oracles import brute_force_hylo, evaluate, naive_narrowed_space, naive_wellfounded
 
 
@@ -203,6 +203,87 @@ class TestEnumerate:
             {"x": "1", "y": "0"},
             {"x": "1", "y": "1"},
         ]
+
+
+class TestForwardChecking:
+    """The search filters the last state of each square (in declaration
+    order) once its other states are assigned.  It must list exactly the
+    brute-force solutions, in the same order, each keyed in state order."""
+
+    SIGS = [
+        MIXED,
+        Signature((("c", 0), ("d", 0), ("f", 2))),
+        Signature((("g", 1), ("h", 3))),
+        Signature((("f", 2),)),
+    ]
+
+    @staticmethod
+    def check(b, a, want=None):
+        got = enumerate_hylo(b, a)
+        assert got == brute_force_hylo(b, a)
+        assert want is None or len(got) == want
+        for f in got:
+            assert list(f) == list(b.states)
+
+    # projections and identities on {0, 1, 2}, so every square below has
+    # several solutions and the search must backtrack through them
+    PROJ = Signature((("c", 0), ("g", 1), ("f", 2)))
+
+    def proj_algebra(self, f=lambda x, y: x):
+        carrier = ("0", "1", "2")
+        table = {("c", ()): "0"}
+        table.update({("g", (x,)): x for x in carrier})
+        table.update({("f", (x, y)): f(x, y) for x in carrier for y in carrier})
+        return FinAlgebra(self.PROJ, carrier, table)
+
+    def test_state_declared_after_its_successors_is_forced(self):
+        b = FinCoalgebra(self.PROJ, ("x", "y", "z"),
+                         {"x": ("g", ("x",)), "y": ("g", ("y",)), "z": ("f", ("y", "x"))})
+        self.check(b, self.proj_algebra(), want=9)
+
+    def test_own_successor_declared_last_in_its_square_is_scanned(self):
+        # z = f(z, y) with y declared first: z's value feeds its own square,
+        # so the square cannot force it once y is assigned
+        b = FinCoalgebra(self.PROJ, ("y", "z"), {"y": ("g", ("y",)), "z": ("f", ("z", "y"))})
+        self.check(b, self.proj_algebra(), want=9)
+        self.check(b, self.proj_algebra(lambda x, y: max(x, y)), want=6)
+
+    def test_square_whose_last_state_is_a_successor(self):
+        # x = f(y, z) filters z once y is assigned; x = g(z) filters z at x
+        for step in ({"x": ("f", ("y", "z")), "y": ("g", ("y",)), "z": ("g", ("z",))},
+                     {"x": ("g", ("z",)), "y": ("g", ("y",)), "z": ("f", ("x", "y"))}):
+            b = FinCoalgebra(self.PROJ, ("x", "y", "z"), step)
+            self.check(b, self.proj_algebra())
+            self.check(b, self.proj_algebra(lambda x, y: max(x, y)))
+
+    def test_filters_are_undone_on_backtrack(self):
+        # each value of x filters y to that value alone; the next value of x
+        # must see all of y's candidates again
+        b = FinCoalgebra(self.PROJ, ("x", "y"), {"x": ("g", ("y",)), "y": ("g", ("y",))})
+        self.check(b, self.proj_algebra(), want=3)
+
+    def test_matches_brute_force_on_random_machines(self):
+        rng = random.Random(71)
+        for trial in range(600):
+            sig = self.SIGS[trial % len(self.SIGS)]
+            n = rng.randint(1, 7)
+            b = random_machine(rng, sig, n)
+            size = rng.randint(2, 3 if n <= 5 else 2)
+            if trial % 2:
+                a = random_sparse_algebra(rng, sig, size, rng.choice((0, 0.1, 0.5)))
+            else:
+                a = random_algebra(rng, sig, size)
+            want = brute_force_hylo(b, a)
+            space = naive_narrowed_space(b, a)
+            for budget in (1, 5, 10**6):
+                if space > budget:
+                    with pytest.raises(BudgetExceeded) as err:
+                        enumerate_hylo(b, a, budget)
+                    assert err.value.required == size ** n
+                else:
+                    got = enumerate_hylo(b, a, budget)
+                    assert got == want
+                    assert all(list(f) == list(b.states) for f in got)
 
 
 class TestWellFounded:

@@ -6,7 +6,7 @@ import pytest
 
 from relfix import jsonio, nu
 from relfix.cli import main
-from relfix.errors import BoundExceeded, BudgetExceeded, NotCaMorphism
+from relfix.errors import BijectionViolation, BoundExceeded, BudgetExceeded, NotCaMorphism
 from relfix.finstruct import FinAlgebra, FinCoalgebra, all_coalgebras, enumerate_hylo
 from relfix.lattice import MonotoneOp
 from relfix.nu import (
@@ -283,6 +283,15 @@ class TestCountHoms:
                 == len(enumerate_hylo(b, a))
             )
 
+    def test_duplicate_solution_is_a_bijection_violation(self, monkeypatch):
+        b, a = cases.chk_two_cycle(), cases.flip_algebra()
+        solutions = enumerate_hylo(b, a)
+        # an equal solution built in another key order is still a duplicate
+        again = dict(reversed(list(solutions[0].items())))
+        monkeypatch.setattr(nu, "enumerate_hylo", lambda *_: solutions + [again])
+        with pytest.raises(BijectionViolation, match="duplicate solution in enumeration"):
+            count_coalg_homs_to_nu(b, a)
+
 
 class TestNextTime:
     """Next-time on a machine is `box_mask` of its successor image."""
@@ -432,3 +441,13 @@ class TestClassify:
             b = FinCoalgebra(cases.CS, states, step)
             pairs = classify_cartesian(b)
             assert len(pairs) == len(cartesian_subcoalgebras(b))
+
+    def test_budget_bounds_the_meet_rows_before_they_are_built(self, monkeypatch):
+        # p is declared, never used, and its all-ones row has ten cells
+        sig = Signature((("c", 0), ("p", 10)))
+        b = FinCoalgebra(sig, ("q",), {"q": ("c", ())})
+        assert classify_cartesian(b, budget=10) == [(("q",), {"q": "1"})]
+        monkeypatch.setattr(nu, "meet_algebra", None)  # refused before any call
+        with pytest.raises(BudgetExceeded) as err:
+            classify_cartesian(b, budget=9)
+        assert err.value.required == 10
