@@ -30,7 +30,7 @@ _EXPORTS = {  # submodule -> the names it exports
         "MonotoneOp", "SafetyVerdict", "TransitionSystem", "f_apply",
         "galois_check", "mu_post", "nu_pre", "safety_check",
     ),
-    "mu": ("mu_equal", "mu_hom_count", "mu_presentation"),
+    "mu": ("mu_equal", "mu_hom_count"),
     "nu": (
         "RationalTree", "TreePrefix", "cartesian_subcoalgebras",
         "classify_cartesian", "coextension", "enum_nu_prefixes", "is_a_guided",

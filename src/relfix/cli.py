@@ -27,19 +27,18 @@ def _emit(obj) -> None:
 
 def _cmd_mu_eq(args) -> int:
     from .jsonio import load_coalgebra
-    from .mu import _presented_equal, mu_presentation
+    from .mu import mu_equal
     from .sigterm import parse_term
 
     coalg = load_coalgebra(args.coalgebra)
     lhs = parse_term(coalg.sig, args.lhs)
     rhs = parse_term(coalg.sig, args.rhs)
-    eqs = mu_presentation(coalg)
     _emit(
         {
-            "result": "equal" if _presented_equal(coalg, lhs, rhs, eqs) else "distinct",
+            "result": "equal" if mu_equal(coalg, lhs, rhs) else "distinct",
             "lhs": str(lhs),
             "rhs": str(rhs),
-            "generators": [f"{s} = {t}" for s, t in eqs.equations],
+            "generators": [f"{x} = {op}({','.join(ys)})" for x, (op, ys) in coalg.step.items()],
         }
     )
     return 0

@@ -20,7 +20,7 @@ from .errors import (
     NotCaMorphism,
     SignatureMismatch,
 )
-from .sigterm import Signature, Term, app, var
+from .sigterm import Signature
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,6 @@ class FinCoalgebra:
 
     def successors(self, x: str) -> tuple[str, ...]:
         return self.step[x][1]
-
-    def step_term(self, x: str) -> Term:
-        """The flat term op(y1,...,yk) with successor states as variables."""
-        op, args = self.step[x]
-        return app(op, tuple(var(y) for y in args))
 
 
 @dataclass(frozen=True)

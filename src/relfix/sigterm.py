@@ -3,7 +3,9 @@
 Terms live in one global store: structurally equal terms are the same object,
 so structural equality is an identity comparison and every node carries a
 stable integer id in creation order.  Variables are bare identifiers and act
-as fresh constants, disjoint from the symbols of any signature.
+as fresh constants, disjoint from the symbols of any signature.  The closure
+keeps its own flat integer rows and interns nothing: terms enter it only as
+equations and queries, and a machine's steps enter as rows directly.
 """
 from __future__ import annotations
 
@@ -246,23 +248,25 @@ class EquationSet:
 class CongruenceClosure:
     """Decision procedure for the congruence generated by ground equations.
 
-    Union-find over node ids plus a signature table keyed on (op, child
-    representatives); merging two classes replays the affected parent
-    applications so congruences propagate upward.  A merge moves the shorter
-    use list into the longer one, so each entry moves O(log n) times.  No
-    answer depends on which node represents a class.
+    One engine over flat integer rows: node i is an atom (a variable, or a
+    state of a machine) or a row (op, child node ids).  Union-find over node
+    ids plus a signature table keyed on (op, child representatives): a row
+    whose signature is present is that node, so congruent rows meet as they
+    are added, and merging two classes re-keys the rows on the shorter use
+    list before it joins the longer one, so each entry moves O(log n) times.
+    `add` reads a term as rows, in postorder.  No answer depends on which
+    node represents a class.
     """
 
-    def __init__(self, eqs: EquationSet):
-        self._parent: dict[int, int] = {}
-        self._use: dict[int, list[Term]] = {}
-        self._sigtab: dict[tuple, Term] = {}
-        self._pending: list[tuple[int, int]] = []
-        for lhs, rhs in eqs.equations:
-            self.register(lhs)
-            self.register(rhs)
-            self._pending.append((lhs.node_id, rhs.node_id))
-            self._propagate()
+    def __init__(self, eqs: EquationSet | None = None):
+        self._parent: list[int] = []
+        self._rows: list[tuple[str, tuple[int, ...]] | None] = []  # None for atoms
+        self._use: list[list[int]] = []  # rows with a child in the class
+        self._sigtab: dict[tuple, int] = {}
+        self._atoms: dict[str, int] = {}
+        if eqs is not None:
+            for lhs, rhs in eqs.equations:
+                self.merge(self.add(lhs), self.add(rhs))
 
     def _find(self, i: int) -> int:
         parent = self._parent
@@ -273,61 +277,70 @@ class CongruenceClosure:
             parent[i], i = root, parent[i]
         return root
 
-    def register(self, t: Term) -> None:
-        """Add a term's nodes; congruent nodes are merged as they appear."""
-        for node in postorder(t):
-            i = node.node_id
-            if i in self._parent:
-                continue
-            self._parent[i] = i
-            if node.is_var:
-                continue
-            for a in node.args:
-                self._use.setdefault(self._find(a.node_id), []).append(node)
-            key = (node.op, tuple(self._find(a.node_id) for a in node.args))
-            existing = self._sigtab.get(key)
-            if existing is None:
-                self._sigtab[key] = node
-            elif self._find(existing.node_id) != i:
-                self._pending.append((existing.node_id, i))
-                self._propagate()
+    def atom(self, name: str) -> int:
+        """The node a variable called `name` stands for, made on first use."""
+        i = self._atoms.get(name)
+        if i is None:
+            i = self._atoms[name] = len(self._parent)
+            self._parent.append(i)
+            self._rows.append(None)
+            self._use.append([])
+        return i
 
-    def _propagate(self) -> None:
-        while self._pending:
-            a, b = self._pending.pop()
-            ra, rb = self._find(a), self._find(b)
+    def row(self, op: str, kids: tuple[int, ...]) -> int:
+        """The node of op(kids), made unless a congruent row is present."""
+        key = (op, tuple([self._find(k) for k in kids]))
+        i = self._sigtab.get(key)
+        if i is None:
+            i = self._sigtab[key] = len(self._parent)
+            self._parent.append(i)
+            self._rows.append((op, kids))
+            self._use.append([])
+            for k in key[1]:
+                self._use[k].append(i)
+        return i
+
+    def merge(self, a: int, b: int) -> None:
+        """Equate nodes a and b and close under congruence."""
+        find, use, rows, sigtab = self._find, self._use, self._rows, self._sigtab
+        pending = [(a, b)]
+        while pending:
+            a, b = pending.pop()
+            ra, rb = find(a), find(b)
             if ra == rb:
                 continue
-            if len(self._use.get(ra, ())) < len(self._use.get(rb, ())):
+            if len(use[ra]) < len(use[rb]):
                 ra, rb = rb, ra
             self._parent[rb] = ra
-            moved = self._use.pop(rb, [])
+            moved, use[rb] = use[rb], []
             for p in moved:
-                key = (p.op, tuple(self._find(c.node_id) for c in p.args))
-                q = self._sigtab.get(key)
-                if q is None:
-                    self._sigtab[key] = p
-                elif self._find(q.node_id) != self._find(p.node_id):
-                    self._pending.append((q.node_id, p.node_id))
-            self._use.setdefault(ra, []).extend(moved)
+                op, kids = rows[p]
+                q = sigtab.setdefault((op, tuple([find(k) for k in kids])), p)
+                if q != p and find(q) != find(p):
+                    pending.append((q, p))
+            use[ra].extend(moved)
+
+    def add(self, t: Term) -> int:
+        """The node of a term, adding a row for each new application; a bare
+        variable, what most equations and `classes` add, skips the walk."""
+        if t.args is None:
+            return self.atom(t.op)
+        ids: dict[int, int] = {}
+        for node in postorder(t):
+            ids[node.node_id] = (
+                self.atom(node.op) if node.args is None
+                else self.row(node.op, tuple([ids[a.node_id] for a in node.args]))
+            )
+        return ids[t.node_id]
 
     def equal(self, s: Term, t: Term) -> bool:
-        self.register(s)
-        self.register(t)
-        return self._find(s.node_id) == self._find(t.node_id)
+        return self._find(self.add(s)) == self._find(self.add(t))
 
     def classes(self, terms: Iterable[Term]) -> list[list[Term]]:
         """Partition of the given terms, classes and members in input order."""
-        terms = list(terms)
-        for t in terms:
-            self.register(t)
         by_rep: dict[int, list[Term]] = {}
-        seen_nodes: set[int] = set()
-        for t in terms:
-            if t.node_id in seen_nodes:
-                continue
-            seen_nodes.add(t.node_id)
-            by_rep.setdefault(self._find(t.node_id), []).append(t)
+        for t in dict.fromkeys(terms):  # terms are interned: identity is equality
+            by_rep.setdefault(self._find(self.add(t)), []).append(t)
         return list(by_rep.values())
 
 

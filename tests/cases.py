@@ -108,3 +108,17 @@ def chain_system():
         "states": ("s0", "s1", "s2"),
         "delta": {"s0": {"s0", "s1"}, "s1": {"s1"}, "s2": {"s2"}},
     }
+
+
+# one unary symbol, for rings of states
+G = Signature((("g", 1),))
+
+
+def g_ring(names, lasso: bool = False, reverse: bool = False) -> FinCoalgebra:
+    """x_i = g(x_(i+1)) around the ring of `names`, no two states identified;
+    as a lasso the last state is its own successor instead, and the
+    congruence collapses every state into one class.  `reverse` declares the
+    states last first."""
+    n = len(names)
+    step = {x: ("g", (names[min(i + 1, n - 1) if lasso else (i + 1) % n],)) for i, x in enumerate(names)}
+    return FinCoalgebra(G, tuple(reversed(names)) if reverse else tuple(names), step)

@@ -1,14 +1,19 @@
 """Presentations of least solutions and their word problem."""
+import json
 import random
+import sys
 
 import pytest
 
-from relfix.errors import NotCaMorphism, UnboundVariable
+from relfix.cli import main
+from relfix.errors import ArityMismatch, NotCaMorphism, UnboundVariable, UnknownSymbol
 from relfix.finstruct import CaMorphism, FinAlgebra, FinCoalgebra, enumerate_hylo
-from relfix.mu import mu_equal, mu_hom_count, mu_presentation
-from relfix.sigterm import app, parse_term, var
+from relfix.jsonio import canonical_dumps, coalgebra_to_json
+from relfix.mu import mu_equal, mu_hom_count
+from relfix.sigterm import CongruenceClosure, EquationSet, app, parse_term, term_store_size, var
 
 import cases
+from gen import MIXED, random_mixed_machines, random_term
 from oracles import evaluate, naive_congruence_decide, rewrite_reachable, substitute
 
 
@@ -18,23 +23,41 @@ def meet_binary() -> FinAlgebra:
     return meet_algebra(cases.BINARY)
 
 
+def step_term(b: FinCoalgebra, x: str):
+    """The step of x as a term, successor states as variables."""
+    op, args = b.step[x]
+    return app(op, tuple(var(y) for y in args))
+
+
+def presentation(b: FinCoalgebra) -> EquationSet:
+    """The relations x = step(x) as terms: what `mu_equal` closes as rows."""
+    return EquationSet(b.sig, tuple((var(x), step_term(b, x)) for x in b.states))
+
+
+def printed_generators(tmp_path, capsys, b: FinCoalgebra, lhs: str, rhs: str) -> list[str]:
+    """The "generators" that `relfix mu-eq` prints for machine b."""
+    path = tmp_path / "machine.json"
+    path.write_text(canonical_dumps(coalgebra_to_json(b)))
+    assert main(["mu-eq", str(path), lhs, rhs]) == 0
+    generators = json.loads(capsys.readouterr().out)["generators"]
+    assert generators == [f"{l} = {r}" for l, r in presentation(b).equations]
+    return generators
+
+
 class TestPresentation:
-    def test_three_state_generators(self):
-        pres = mu_presentation(cases.three_state_automaton())
-        got = [(str(l), str(r)) for l, r in pres.equations]
-        assert got == [
-            ("q0", "cross(q1,q2)"),
-            ("q1", "cross(q0,q1)"),
-            ("q2", "chk(q2,q2)"),
+    def test_three_state_generators(self, tmp_path, capsys):
+        assert printed_generators(tmp_path, capsys, cases.three_state_automaton(), "q0", "q0") == [
+            "q0 = cross(q1,q2)",
+            "q1 = cross(q0,q1)",
+            "q2 = chk(q2,q2)",
         ]
 
-    def test_empty_machine_empty_presentation(self):
-        assert mu_presentation(cases.empty_machine()).equations == ()
+    def test_empty_machine_empty_presentation(self, tmp_path, capsys):
+        assert printed_generators(tmp_path, capsys, cases.empty_machine(cases.CS), "c", "c") == []
 
-    def test_nullary_step(self):
+    def test_nullary_step(self, tmp_path, capsys):
         b = FinCoalgebra(cases.CS, ("q",), {"q": ("c", ())})
-        pres = mu_presentation(b)
-        assert [(str(l), str(r)) for l, r in pres.equations] == [("q", "c()")]
+        assert printed_generators(tmp_path, capsys, b, "q", "c") == ["q = c()"]
 
 
 class TestWordProblem:
@@ -43,7 +66,7 @@ class TestWordProblem:
         lhs = var("q0")
         rhs = parse_term(cases.BINARY, "cross(cross(q0,q1),chk(q2,q2))")
         assert mu_equal(b, lhs, rhs) is True
-        eqs = mu_presentation(b)
+        eqs = presentation(b)
         assert naive_congruence_decide(eqs, lhs, rhs) is True
         assert rhs in rewrite_reachable(eqs, lhs, 4, app)
 
@@ -59,7 +82,7 @@ class TestWordProblem:
     def test_generators_hold(self):
         for b in (cases.three_state_automaton(), cases.chk_two_cycle(), cases.acyclic_pq()):
             for x in b.states:
-                assert mu_equal(b, var(x), b.step_term(x)) is True
+                assert mu_equal(b, var(x), step_term(b, x)) is True
 
     def test_unknown_state_variable_rejected(self):
         with pytest.raises(UnboundVariable):
@@ -75,7 +98,7 @@ class TestWordProblem:
             op = rng.choice(("cross", "chk"))
             return app(op, (random_term(depth - 1), random_term(depth - 1)))
 
-        unfold = {x: b.step_term(x) for x in b.states}
+        unfold = {x: step_term(b, x) for x in b.states}
         for _ in range(40):
             t = random_term(3)
             assert mu_equal(b, t, substitute(t, unfold, app)) is True
@@ -119,8 +142,8 @@ class TestSoundness:
         f = {"q0": "0", "q1": "0"}
         with pytest.raises(NotCaMorphism):
             CaMorphism(b, a, f)
-        assert mu_equal(b, var("q0"), b.step_term("q0")) is True
-        assert evaluate(var("q0"), f, a.app) != evaluate(b.step_term("q0"), f, a.app)
+        assert mu_equal(b, var("q0"), step_term(b, "q0")) is True
+        assert evaluate(var("q0"), f, a.app) != evaluate(step_term(b, "q0"), f, a.app)
 
     def test_rejects_unidentified_terms(self):
         # a solution that separates two terms shows the presentation keeps them apart
@@ -132,7 +155,7 @@ class TestSoundness:
     def test_randomized_rewrites_stay_sound(self):
         rng = random.Random(11)
         b, a = cases.three_state_automaton(), meet_binary()
-        eqs = mu_presentation(b)
+        eqs = presentation(b)
         solutions = enumerate_hylo(b, a)
         for _ in range(25):
             start = var(rng.choice(b.states))
@@ -141,3 +164,58 @@ class TestSoundness:
             f = solutions[rng.randrange(len(solutions))]
             assert mu_equal(b, start, t) is True
             assert evaluate(start, f, a.app) == evaluate(t, f, a.app)
+
+
+class TestFlatRows:
+    """`mu_equal` closes the machine's steps as rows and walks only the queries."""
+
+    def test_matches_naive_closure_of_the_presentation(self):
+        seen = {True: 0, False: 0}
+        for k, b in enumerate(random_mixed_machines(23, 600)):
+            rng = random.Random(k)
+            eqs = presentation(b)
+            for depth in range(4):
+                s = random_term(rng, MIXED, b.states, depth)
+                t = random_term(rng, MIXED, b.states, rng.randint(0, 3))
+                got = mu_equal(b, s, t)
+                assert got == naive_congruence_decide(eqs, s, t), (b, str(s), str(t))
+                seen[got] += 1
+        assert seen[True] >= 200 and seen[False] >= 200, seen
+
+    def test_query_deeper_than_the_recursion_limit(self):
+        b = cases.g_ring(("d0", "d1", "d2"))
+        depth = sys.getrecursionlimit() + 500
+        t = var(b.states[depth % 3])
+        for _ in range(depth):
+            t = app("g", (t,))
+        assert mu_equal(b, var("d0"), t) is True
+        assert mu_equal(b, var("d1"), t) is False
+
+    def test_leaves_the_term_store_alone(self):
+        names = [f"store_ring{i}" for i in range(2000)]
+        b = cases.g_ring(names)
+        before = term_store_size()
+        s, t = var(names[0]), parse_term(b.sig, f"g({names[1]})")  # three new nodes
+        assert mu_equal(b, s, t) is True
+        assert mu_equal(b, s, var(names[1])) is False
+        assert term_store_size() - before <= 3
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            (var("zz"), UnboundVariable),
+            (app("or", (var("q0"), var("q1"))), UnknownSymbol),
+            (app("cross", (var("q0"),)), ArityMismatch),
+        ],
+    )
+    def test_bad_query_is_refused_before_any_row(self, monkeypatch, side, bad, error):
+        def no_rows(*args):
+            raise AssertionError("a row was built before the query was checked")
+
+        monkeypatch.setattr(CongruenceClosure, "atom", no_rows)
+        monkeypatch.setattr(CongruenceClosure, "row", no_rows)
+        pair = [var("q0"), var("q0")]
+        pair[side] = bad
+        with pytest.raises(error):
+            mu_equal(cases.three_state_automaton(), *pair)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfix.errors import ArityMismatch, DepthLimit, ParseError, UnknownSymbol
+from relfix.mu import mu_equal
 from relfix.sigterm import (
     CongruenceClosure,
     EquationSet,
@@ -18,6 +19,7 @@ from relfix.sigterm import (
     var,
 )
 
+import cases
 from oracles import naive_congruence_decide, naive_variables, rewrite_reachable, substitute
 
 UNARY = Signature((("chk", 1), ("cross", 1)))
@@ -203,25 +205,42 @@ def merge_chain(n: int, reversed_merges: bool) -> EquationSet:
     return EquationSet(Signature((("h", 1),)), tuple(eqs + merges))
 
 
+def count_finds(monkeypatch) -> list[int]:
+    """Count the closure's union-find lookups from here on; the one-element
+    list holds the count."""
+    calls = [0]
+    find = CongruenceClosure._find
+
+    def counting_find(self, i):
+        calls[0] += 1
+        return find(self, i)
+
+    monkeypatch.setattr(CongruenceClosure, "_find", counting_find)
+    return calls
+
+
 class TestCongruenceWork:
     @pytest.mark.parametrize("reversed_merges", [False, True])
     def test_merge_chain_work_is_n_log_n(self, monkeypatch, reversed_merges):
         n = 1000
         eqs = merge_chain(n, reversed_merges)
-        calls = 0
-        find = CongruenceClosure._find
-
-        def counting_find(self, i):
-            nonlocal calls
-            calls += 1
-            return find(self, i)
-
-        monkeypatch.setattr(CongruenceClosure, "_find", counting_find)
+        calls = count_finds(monkeypatch)
         cc = CongruenceClosure(eqs)
-        assert calls <= 4 * n * math.log2(n)
+        assert 0 < calls[0] <= 4 * n * math.log2(n)
         monkeypatch.undo()
         assert cc.equal(var("mu0"), var(f"mu{n}"))
         assert not cc.equal(var("mu0"), var("mv0"))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("lasso", [False, True])
+    def test_ring_through_mu_equal_is_n_log_n(self, monkeypatch, lasso, reverse):
+        # the lasso collapses: each class joins the next through a congruence
+        n = 1000
+        names = [f"w{i}" for i in range(n)]
+        b = cases.g_ring(names, lasso=lasso, reverse=reverse)
+        calls = count_finds(monkeypatch)
+        assert mu_equal(b, var("w0"), var(f"w{n - 1}")) is lasso
+        assert 0 < calls[0] <= 4 * n * math.log2(n)
 
 
 # random flat systems over MIXED, shared by the property tests below
