@@ -120,5 +120,6 @@ def g_ring(names, lasso: bool = False, reverse: bool = False) -> FinCoalgebra:
     congruence collapses every state into one class.  `reverse` declares the
     states last first."""
     n = len(names)
-    step = {x: ("g", (names[min(i + 1, n - 1) if lasso else (i + 1) % n],)) for i, x in enumerate(names)}
+    succ = [names[min(i + 1, n - 1) if lasso else (i + 1) % n] for i in range(n)]
+    step = {x: ("g", (y,)) for x, y in zip(names, succ)}
     return FinCoalgebra(G, tuple(reversed(names)) if reverse else tuple(names), step)

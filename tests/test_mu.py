@@ -170,13 +170,17 @@ class TestFlatRows:
     """`mu_equal` closes the machine's steps as rows and walks only the queries."""
 
     def test_matches_naive_closure_of_the_presentation(self):
+        # random pairs at depths 0-3, and every pair of states: two states
+        # are often identified only through a congruence a merge propagates
         seen = {True: 0, False: 0}
         for k, b in enumerate(random_mixed_machines(23, 600)):
             rng = random.Random(k)
             eqs = presentation(b)
+            pairs = [(var(x), var(y)) for i, x in enumerate(b.states) for y in b.states[i + 1:]]
             for depth in range(4):
                 s = random_term(rng, MIXED, b.states, depth)
-                t = random_term(rng, MIXED, b.states, rng.randint(0, 3))
+                pairs.append((s, random_term(rng, MIXED, b.states, rng.randint(0, 3))))
+            for s, t in pairs:
                 got = mu_equal(b, s, t)
                 assert got == naive_congruence_decide(eqs, s, t), (b, str(s), str(t))
                 seen[got] += 1
