@@ -8,6 +8,7 @@ state's successor term under the map reproduces the state's own value.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -55,9 +56,6 @@ class FinCoalgebra:
             raise ValueError(f"step defined on non-states: {extra}")
         object.__setattr__(self, "step", norm)
 
-    def successors(self, x: str) -> tuple[str, ...]:
-        return self.step[x][1]
-
 
 @dataclass(frozen=True)
 class FinAlgebra:
@@ -91,10 +89,15 @@ class FinAlgebra:
             norm[(op, args)] = out
         object.__setattr__(self, "table", norm)
         if self.default is None:
+            # the rows are distinct in-carrier tuples of the right arity, so
+            # a symbol's table is total exactly when it has carrier^arity rows
+            rows = Counter(op for op, _ in norm)
             for op, arity in self.sig.symbols:
-                for args in product(carrier, repeat=arity):
-                    if (op, args) not in norm:
-                        raise ValueError(f"no table row for {op}{args} and no default")
+                if rows[op] != _saturating_pow(len(carrier), arity, rows[op]):
+                    raise ValueError(
+                        f"no default, and symbol '{op}' has {rows[op]} table rows "
+                        f"where {len(carrier)}^{arity} are needed"
+                    )
         elif self.default not in carrier_set:
             raise ValueError(f"default {self.default!r} is not a carrier element")
 
@@ -140,15 +143,6 @@ class CaMorphism:
             raise NotCaMorphism("map does not satisfy the square")
 
 
-def _users(coalg: FinCoalgebra) -> dict[str, list[str]]:
-    """For each state, the states whose step mentions it, once per mention."""
-    users: dict[str, list[str]] = {x: [] for x in coalg.states}
-    for z in coalg.states:
-        for y in coalg.successors(z):
-            users[y].append(z)
-    return users
-
-
 def _values_of(args: tuple[str, ...]):
     """A function that reads the values of `args` (at least one) out of an
     assignment, as a tuple.  `itemgetter` does it without the frame a list
@@ -185,7 +179,11 @@ def enumerate_hylo(
     table, get, default = alg.table, alg.table.get, alg.default
     rows = len(table)
     candidates = {x: list(alg.carrier) for x in states}
-    users = _users(coalg)
+    # users[y]: the states whose step mentions y, once per mention
+    users: dict[str, list[str]] = {x: [] for x in states}
+    for z in states:
+        for y in coalg.step[z][1]:
+            users[y].append(z)
     # a state's image changes only after a successor's candidates shrank
     work = list(states)
     while work:
@@ -306,18 +304,13 @@ def enumerate_hylo(
 
 
 def is_wellfounded(coalg: FinCoalgebra) -> bool:
-    """True iff the successor graph has no cycle: peeling the states whose
-    successors are all peeled (the least fixed point of next-time) reaches
-    every state."""
-    users = _users(coalg)
-    pending = {x: len(coalg.successors(x)) for x in coalg.states}
-    peeled = [x for x, n in pending.items() if n == 0]
-    for x in peeled:
-        for z in users[x]:
-            pending[z] -= 1
-            if pending[z] == 0:
-                peeled.append(z)
-    return len(peeled) == len(coalg.states)
+    """True iff the successor graph has no cycle: the greatest fixed point
+    of the successor image, the states at the end of arbitrarily long paths,
+    is empty (Adámek, Milius and Moss, 2020)."""
+    # imported here so that `hylo` and `recursive` do not load the lattice
+    from .lattice import MonotoneOp
+
+    return MonotoneOp.from_machine(coalg).nu_pre_mask((1 << len(coalg.states)) - 1) == 0
 
 
 def check_recursive_on(
@@ -328,10 +321,12 @@ def check_recursive_on(
 
 
 def _saturating_pow(base: int, exp: int, cap: int) -> int:
-    """base**exp for base >= 1, or cap + 1 when that is larger; a power past
+    """base**exp for base >= 0, or cap + 1 when that is larger; a power past
     cap is never evaluated."""
+    if base < 2:
+        return base ** min(exp, 1)
     out = 1
-    for _ in range(exp if base > 1 else 0):
+    for _ in range(exp):
         out *= base
         if out > cap:
             return cap + 1

@@ -118,6 +118,12 @@ class MonotoneOp:
     def from_transition_system(cls, ts: TransitionSystem) -> "MonotoneOp":
         return cls(ts.states, ts.delta)
 
+    @classmethod
+    def from_machine(cls, coalg) -> "MonotoneOp":
+        """The successor image of a `FinCoalgebra`: each state's successors
+        are the arguments of its step.  Next-time is its right adjoint."""
+        return cls(coalg.states, {x: args for x, (_, args) in coalg.step.items()})
+
     def _positions(self, subset: Iterable[str]) -> list[int]:
         try:
             return list(map(self._index.__getitem__, subset))

@@ -24,8 +24,8 @@ from .finstruct import (
     _saturating_pow,
     enumerate_hylo,
 )
-# Imported here, not in `_successor_op`: a function-local import there made
-# each `classify_cartesian` call on a small machine about 5% slower.
+# Imported here, not in `cartesian_subcoalgebras`: a function-local import
+# there made each `classify_cartesian` call on a small machine about 5% slower.
 from .lattice import MonotoneOp
 from .sigterm import Signature
 
@@ -214,11 +214,6 @@ def count_coalg_homs_to_nu(
     return len(solutions)
 
 
-def _successor_op(coalg: FinCoalgebra) -> MonotoneOp:
-    """The successor image of a machine; next-time is its right adjoint."""
-    return MonotoneOp(coalg.states, {x: args for x, (_, args) in coalg.step.items()})
-
-
 def cartesian_subcoalgebras(coalg: FinCoalgebra, bound: int = 16) -> list[tuple[str, ...]]:
     """All subsets P with P = next_time(P), in subset-lexicographic order
     (binary counting over the declared state order)."""
@@ -227,7 +222,7 @@ def cartesian_subcoalgebras(coalg: FinCoalgebra, bound: int = 16) -> list[tuple[
         raise BoundExceeded(f"{len(states)} states exceeds the exhaustive bound {bound}")
     return [
         tuple(s for i, s in enumerate(states) if mask >> i & 1)
-        for mask in _successor_op(coalg).box_fixed_masks()
+        for mask in MonotoneOp.from_machine(coalg).box_fixed_masks()
     ]
 
 

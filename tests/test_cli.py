@@ -442,6 +442,25 @@ def test_cartesian_refuses_the_meet_row_of_an_unused_wide_symbol(tmp_path):
     assert proc.stderr == "error: enumeration of size 100000000 exceeds budget 1000000\n"
 
 
+def test_incomplete_algebra_is_refused_by_row_count(tmp_path):
+    # no default and no p-row: the table is incomplete, found without
+    # walking p's one 10^8-wide argument tuple
+    sig = ('"signature": {"symbols": [{"name": "c", "arity": 0}, '
+           '{"name": "p", "arity": 100000000}]}')
+    machine, algebra, prefix = (tmp_path / name for name in ("m.json", "a.json", "t.json"))
+    machine.write_text(f'{{"format": 1, "kind": "coalgebra", {sig}, "states": ["q"], '
+                       '"step": {"q": {"op": "c", "args": []}}}\n')
+    algebra.write_text(f'{{"format": 1, "kind": "algebra", {sig}, "carrier": ["0"], '
+                       '"table": [{"op": "c", "args": [], "out": "0"}]}\n')
+    prefix.write_text('{"format": 1, "kind": "prefix", "root": {"label": "0"}}\n')
+    for argv in (("hylo", machine, algebra), ("nu-check", algebra, prefix)):
+        start = time.perf_counter()
+        proc = run_process(*argv, timeout=10)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 2
+        assert "symbol 'p'" in proc.stderr, proc.stderr
+
+
 def g_ring_against_successor(tmp_path):
     """A 4100-state g-ring and the successor algebra on 12 elements: every
     state keeps all 12 values, so the space is 12^4100."""

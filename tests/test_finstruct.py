@@ -20,9 +20,11 @@ from relfix.finstruct import (
     check_recursive_on,
     count_algebras,
     enumerate_hylo,
+    _saturating_pow,
     is_ca_morphism,
     is_wellfounded,
 )
+from relfix.lattice import WORD_STATES
 from relfix.sigterm import Signature, parse_term
 
 import cases
@@ -54,6 +56,61 @@ class TestConstruction:
 
     def test_empty_machine_is_fine(self):
         assert cases.empty_machine().states == ()
+
+
+def stated_every_tuple(sig, carrier, table, default) -> bool:
+    """Totality by definition: a default, or a row for every argument tuple
+    of every symbol, walked one tuple at a time."""
+    return default is not None or all(
+        (op, args) in table for op, arity in sig.symbols for args in product(carrier, repeat=arity)
+    )
+
+
+class TestTotality:
+    """`FinAlgebra` decides totality by counting each symbol's rows."""
+
+    @staticmethod
+    def accepted(sig, carrier, table, default=None) -> bool:
+        try:
+            FinAlgebra(sig, carrier, table, default)
+        except ValueError:
+            return False
+        return True
+
+    def tables(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            sig = rng.choice(cases.CARTESIAN_SIGS + [MIXED])
+            size = rng.randint(1, 3)
+            full = random_algebra(rng, sig, size)
+            yield sig, full.carrier, full.table, None
+            for key in full.table:
+                yield sig, full.carrier, {k: v for k, v in full.table.items() if k != key}, None
+            sparse = random_sparse_algebra(rng, sig, size, rng.choice((0, 0.3, 0.8)))
+            yield sig, sparse.carrier, sparse.table, sparse.default
+        # an empty carrier has no argument tuple of a positive arity and one,
+        # the empty tuple, of a nullary symbol
+        for sig in cases.CARTESIAN_SIGS + [MIXED]:
+            yield sig, (), {}, None
+
+    def test_row_count_agrees_with_the_tuple_walk(self):
+        verdicts = []
+        for sig, carrier, table, default in self.tables():
+            want = stated_every_tuple(sig, carrier, table, default)
+            assert self.accepted(sig, carrier, table, default) == want
+            verdicts.append(want)
+        assert set(verdicts) == {True, False}
+
+    def test_refusal_names_the_symbol_and_both_counts(self):
+        table = {("chk", ("0",)): "1", ("chk", ("1",)): "0", ("cross", ("0",)): "0"}
+        with pytest.raises(ValueError, match=r"symbol 'cross' has 1 table rows where 2\^1"):
+            FinAlgebra(cases.UNARY, ("0", "1"), table)
+
+    def test_saturating_pow_of_zero(self):
+        for cap in (0, 1, 10):
+            assert _saturating_pow(0, 0, cap) == 1
+            for k in (1, 2, 10**8):
+                assert _saturating_pow(0, k, cap) == 0
 
 
 class TestEval:
@@ -305,6 +362,26 @@ class TestWellFounded:
         assert {is_wellfounded(b) for b in machines} == {True, False}
         for b in machines:
             assert is_wellfounded(b) == naive_wellfounded(b)
+
+    def test_matches_reachability_on_every_small_machine(self):
+        for sig in cases.CARTESIAN_SIGS:
+            for n in range(4):
+                for b in all_coalgebras(sig, n):
+                    assert is_wellfounded(b) == naive_wellfounded(b)
+
+    def test_chains_and_rings_on_both_sides_of_word_states(self):
+        # up to WORD_STATES the chain re-applies the operator to the whole
+        # mask; past it, it drops the states whose predecessors are gone
+        sizes = range(60, 71)
+        assert {n > WORD_STATES for n in sizes} == {True, False}
+        for n in sizes:
+            for from_head in (False, True):
+                chain = cases.chk_chain(n, from_head)
+                ring = {**chain.step, f"s{n - 1}": ("chk", ("s0",))}
+                lasso = {**chain.step, f"s{n - 1}": ("chk", (f"s{n // 2}",))}
+                for step in (chain.step, ring, lasso):
+                    b = FinCoalgebra(cases.CHK_NIL, chain.states, step)
+                    assert is_wellfounded(b) == naive_wellfounded(b) == (step is chain.step)
 
     def test_long_chain_and_the_same_chain_closed(self):
         chain = cases.chk_chain(10**5)

@@ -149,7 +149,7 @@ class TestBox:
         assert any(not args for _, args in steps)
         assert any(len(set(args)) < len(args) for _, args in steps)
         for b in machines:
-            op = MonotoneOp(b.states, {x: b.successors(x) for x in b.states})
+            op = MonotoneOp.from_machine(b)
             masks = range(1 << len(b.states))
             image = [op.apply_mask(x) for x in masks]
             box = [op.box_mask(u) for u in masks]

@@ -297,23 +297,23 @@ class TestNextTime:
     """Next-time on a machine is `box_mask` of its successor image."""
 
     def test_full_set_is_fixed(self):
-        op = nu._successor_op(cases.three_state_automaton())
+        op = MonotoneOp.from_machine(cases.three_state_automaton())
         full = op.mask_of(op.states)
         assert op.box_mask(full) == full
 
     def test_empty_set_catches_nullary_steps(self):
-        assert nu._successor_op(cases.three_state_automaton()).box_mask(0) == 0
-        op = nu._successor_op(cases.acyclic_pq())
+        assert MonotoneOp.from_machine(cases.three_state_automaton()).box_mask(0) == 0
+        op = MonotoneOp.from_machine(cases.acyclic_pq())
         assert op.set_of(op.box_mask(0)) == {"q"}
 
     def test_single_state_fiber(self):
-        op = nu._successor_op(cases.three_state_automaton())
+        op = MonotoneOp.from_machine(cases.three_state_automaton())
         assert op.set_of(op.box_mask(op.mask_of({"q2"}))) == {"q2"}
         assert op.set_of(op.box_mask(op.mask_of({"q0", "q1"}))) == {"q1"}
 
     def test_monotone(self):
         rng = random.Random(5)
-        op = nu._successor_op(cases.three_state_automaton())
+        op = MonotoneOp.from_machine(cases.three_state_automaton())
         for _ in range(50):
             u = rng.getrandbits(3)
             v = u | rng.getrandbits(3)
@@ -321,13 +321,13 @@ class TestNextTime:
 
     def test_rejects_non_states(self):
         with pytest.raises(ValueError):
-            nu._successor_op(cases.cross_loop()).mask_of({"nope"})
+            MonotoneOp.from_machine(cases.cross_loop()).mask_of({"nope"})
 
     def test_packaged_operator_matches_function(self):
         b = cases.three_state_automaton()
-        op = nu._successor_op(b)
+        op = MonotoneOp.from_machine(b)
         for u in ((), ("q2",), b.states):
-            want = {x for x in b.states if set(b.successors(x)) <= set(u)}
+            want = {x for x in b.states if set(b.step[x][1]) <= set(u)}
             assert op.set_of(op.box_mask(op.mask_of(u))) == want
 
 
@@ -366,7 +366,7 @@ class TestCartesian:
         """The tabulated fixed points are the masks that box_mask fixes, in
         binary counting order, and (with `naive`) the oracle's subsets."""
         n = len(coalg.states)
-        op = MonotoneOp(coalg.states, {x: coalg.successors(x) for x in coalg.states})
+        op = MonotoneOp.from_machine(coalg)
         fixed = [m for m in range(1 << n) if op.box_mask(m) == m]
         assert op.box_fixed_masks() == fixed
         got = cartesian_subcoalgebras(coalg)
@@ -387,7 +387,7 @@ class TestCartesian:
 
     def test_invariant_subset_need_not_be_fixed(self):
         b = cases.unary_machine({"a": ("cross", "b"), "b": ("cross", "b")})
-        op = nu._successor_op(b)
+        op = MonotoneOp.from_machine(b)
         p = op.mask_of({"b"})
         assert op.box_mask(p) & p == p
         assert op.box_mask(p) != p
