@@ -9,19 +9,19 @@ Every operator is the successor image of a relation; it preserves unions, so
 it has a right adjoint, the next-time operator `box_mask`.
 
 Up to WORD_STATES (64) states each stage re-applies F to the whole mask, a
-few ORs of small ints.  Past it, `MonotoneOp` holds successors as index
-lists and each stage touches only the states that changed: upward, it
-ORs in the successors of the states reached last; downward, it keeps each
-state's count of predecessors inside the mask and drops the states whose
-count reaches 0.  A chain then visits each edge O(1) times, and masks are
-read and built in O(n) through bin() and int(_, 2).
+few ORs of small ints.  Past it, `MonotoneOp` holds one flat list of successor
+ids, state i's row being succ[at[i]:at[i + 1]], and each stage touches only
+the states that changed: upward, it ORs in the successors of the states
+reached last; downward, it keeps each state's count of predecessors inside
+the mask and drops the states whose count reaches 0.  A chain then visits each
+edge O(1) times, and masks are read and built in O(n) through bin() and int(_, 2).
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress, count
-from typing import Iterable, Iterator, Mapping
+from itertools import accumulate, chain, compress, count
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import NotPostFixed, NotPreFixed
 
@@ -100,14 +100,16 @@ class MonotoneOp:
     """The successor image of a relation on a fixed finite state set:
     F(X) = union of successors over X.  It preserves unions, so it is
     monotone and has a right adjoint, `box_mask`.  Successors are masks up to
-    WORD_STATES states and index lists past it (see the module docstring)."""
+    WORD_STATES states and flat rows past it (see the module docstring)."""
 
-    def __init__(self, states: Iterable[str], successors: Mapping[str, Iterable[str]]):
+    def __init__(self, states: Iterable[str], successors: Mapping[str, Collection[str]]):
         self.states = tuple(states)
         self._index = {s: i for i, s in enumerate(self.states)}
         self._wide = len(self.states) > WORD_STATES
         if self._wide:
-            self._succ_lists = [self._positions(successors[x]) for x in self.states]
+            rows = [successors[x] for x in self.states]
+            self._succ = self._positions(chain.from_iterable(rows))
+            self._at = [0, *accumulate(map(len, rows))]
         else:
             self._succ_masks = [self.mask_of(successors[x]) for x in self.states]
         # galois_check repeats each start mask over every pre-fixed partner
@@ -129,6 +131,14 @@ class MonotoneOp:
             return list(map(self._index.__getitem__, subset))
         except KeyError as missing:
             raise ValueError(f"'{missing.args[0]}' is not a state") from None
+
+    def _successor_ids(self, ids: list[int]) -> list[int]:
+        """The rows of ids concatenated, the flat list itself for every state.
+        Chain stages slice inline: a call per stage slowed lockstep by a fifth."""
+        if len(ids) == len(self.states):
+            return self._succ
+        succ, at = self._succ, self._at
+        return [j for i in ids for j in succ[at[i]:at[i + 1]]]
 
     def _flags(self, mask: int) -> bytearray:
         """Byte i is bit i of mask, for at least every state, read through
@@ -156,8 +166,7 @@ class MonotoneOp:
 
     def apply_mask(self, mask: int) -> int:
         if self._wide:
-            succ = self._succ_lists
-            image = [j for i in compress(count(), self._flags(mask)) for j in succ[i]]
+            image = self._successor_ids(list(compress(count(), self._flags(mask))))
             return _mask_of_indices(image, len(self.states))
         out = 0
         rest = mask
@@ -171,8 +180,8 @@ class MonotoneOp:
         """The right adjoint of apply_mask: the states whose successors all
         lie in mask, so apply_mask(x) <= u exactly when x <= box_mask(u)."""
         if self._wide:
-            inside = self._flags(mask).__getitem__
-            return _mask_of_flags(bytearray(all(map(inside, ys)) for ys in self._succ_lists))
+            inside, succ, at = self._flags(mask).__getitem__, self._succ, self._at
+            return _mask_of_flags(bytearray(all(map(inside, succ[a:b])) for a, b in zip(at, at[1:])))
         out = 0
         for i, need in enumerate(self._succ_masks):
             if need | mask == mask:
@@ -235,13 +244,12 @@ class MonotoneOp:
     def _rising_chain(self, mask: int) -> Iterator[int]:
         """F preserves unions, so F(m | d) = m | F(d) for m = F(m - d): each
         stage ORs in only the successors of the states reached last."""
-        succ, n = self._succ_lists, len(self.states)
+        succ, at, n = self._succ, self._at, len(self.states)
         inside = self._flags(mask)
         start = list(compress(count(), inside))
         image = bytearray(n)
-        for i in start:
-            for j in succ[i]:
-                image[j] = 1
+        for j in self._successor_ids(start):
+            image[j] = 1
         stray = next((i for i in start if not image[i]), None)
         if stray is not None:
             raise NotPostFixed(self.states[stray])
@@ -252,20 +260,19 @@ class MonotoneOp:
                 inside[j] = 1
             mask |= _mask_of_indices(reached, n)
             yield mask
-            reached = list(dict.fromkeys(j for i in reached for j in succ[i] if not inside[j]))
+            reached = list(dict.fromkeys(j for i in reached for j in succ[at[i]:at[i + 1]] if not inside[j]))
 
     def _falling_chain(self, mask: int) -> Iterator[int]:
         """Each state counts its predecessors inside the current mask; a
         removed state decrements its successors' counts, and a state whose
         count reaches 0 leaves at the next stage.  Every edge is visited
         O(1) times over the whole chain."""
-        succ, n = self._succ_lists, len(self.states)
+        succ, at, n = self._succ, self._at, len(self.states)
         inside = self._flags(mask)
         start = list(compress(count(), inside))
         preds = [0] * n
-        for i in start:
-            for j in succ[i]:
-                preds[j] += 1
+        for j in self._successor_ids(start):
+            preds[j] += 1
         stray = next((j for j in compress(count(), preds) if not inside[j]), None)
         if stray is not None:
             raise NotPreFixed(self.states[stray])
@@ -276,19 +283,21 @@ class MonotoneOp:
             yield mask
             last, gone = gone, []
             for i in last:
-                for j in succ[i]:
+                for j in succ[at[i]:at[i + 1]]:
                     preds[j] -= 1
                     if not preds[j]:
                         gone.append(j)
 
     def mu_post_mask(self, mask: int) -> int:
         if mask not in self._mu_cache:
-            *_, self._mu_cache[mask] = self.chain(mask, True)
+            for self._mu_cache[mask] in self.chain(mask, True):
+                pass  # each iterate replaces the last, so a long chain holds one mask
         return self._mu_cache[mask]
 
     def nu_pre_mask(self, mask: int) -> int:
         if mask not in self._nu_cache:
-            *_, self._nu_cache[mask] = self.chain(mask, False)
+            for self._nu_cache[mask] in self.chain(mask, False):
+                pass
         return self._nu_cache[mask]
 
 

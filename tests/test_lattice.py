@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import Iterator
@@ -10,6 +11,7 @@ from typing import Iterator
 import pytest
 
 from relfix.errors import NotPostFixed, NotPreFixed
+from relfix.finstruct import FinCoalgebra, is_wellfounded
 from relfix.lattice import (
     UNSAFE_BACKWARD,
     UNSAFE_FORWARD,
@@ -26,8 +28,14 @@ from relfix.lattice import (
 )
 
 import cases
-from gen import random_mixed_machines, random_sparse_system, random_transition_system
-from oracles import all_subsets, bfs_reachable
+from gen import (
+    MIXED,
+    lockstep_system,
+    random_mixed_machines,
+    random_sparse_system,
+    random_transition_system,
+)
+from oracles import all_subsets, bfs_reachable, naive_wellfounded
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -276,6 +284,95 @@ class TestChain:
             assert min(seen[wide, NotPostFixed], seen[wide, NotPreFixed]) > least
 
 
+def flat_row_machine(rng: random.Random, n: int, acyclic: bool) -> FinCoalgebra:
+    """A machine over MIXED on n states declared in shuffled order.  The
+    first and last declared states and about a quarter of the rest are
+    nullary (empty rows, so repeated offsets), and a third of the other
+    steps repeat one argument, as in f(x, x).  An acyclic machine only
+    points to states later in a hidden order, whose last state is nullary."""
+    hidden = [f"x{i}" for i in range(n)]
+    states = tuple(rng.sample(hidden, n))
+    step = {}
+    for k, x in enumerate(hidden):
+        targets = hidden[k + 1:] if acyclic else hidden
+        nullary = not targets or x in (states[0], states[-1]) or rng.random() < 0.25
+        op, arity = MIXED.symbols[0] if nullary else rng.choice(MIXED.symbols[1:])
+        if arity > 1 and rng.random() < 1 / 3:
+            args = (rng.choice(targets),) * arity
+        else:
+            args = tuple(rng.choice(targets) for _ in range(arity))
+        step[x] = (op, args)
+    return FinCoalgebra(MIXED, states, step)
+
+
+def plain_chain(delta, start: frozenset) -> list[frozenset]:
+    """The iterates of the successor image from start up to the first fixed one."""
+    out = [start]
+    while plain_image(delta, out[-1]) != out[-1]:
+        out.append(plain_image(delta, out[-1]))
+    return out
+
+
+class TestFlatRows:
+    """Past WORD_STATES the successors are one flat id list with row offsets.
+    Empty rows and repeated arguments, which count twice among a state's
+    predecessors, are checked against set arithmetic on both sides."""
+
+    def test_machines_against_plain_sets(self):
+        rng = random.Random(41)
+        sizes = [*range(60, 70), *(rng.randint(WORD_STATES + 1, 300) for _ in range(30))]
+        seen = Counter()
+        for n in sizes:
+            for acyclic in (False, True):
+                b = flat_row_machine(rng, n, acyclic)
+                wide = n > WORD_STATES
+                op = MonotoneOp.from_machine(b)
+                delta = {x: frozenset(args) for x, (_, args) in b.step.items()}
+                seen[wide, "repeated"] += sum(len(set(a)) < len(a) for _, a in b.step.values())
+                assert is_wellfounded(b) == naive_wellfounded(b) == acyclic
+                for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+                    u = frozenset(x for x in b.states if rng.random() < density)
+                    m = plain_mask(b, u)
+                    assert op.apply_mask(m) == plain_mask(b, plain_image(delta, u))
+                    assert op.box_mask(m) == plain_mask(b, (x for x in b.states if delta[x] <= u))
+                    post, pre = u, u
+                    while not post <= plain_image(delta, post):
+                        post &= plain_image(delta, post)
+                    while not plain_image(delta, pre) <= pre:
+                        pre |= plain_image(delta, pre)
+                    image = plain_image(delta, u)
+                    for upward, stray, fixed, exc in (
+                        (True, u - image, post, NotPostFixed),
+                        (False, image - u, pre, NotPreFixed),
+                    ):
+                        if stray:
+                            seen[wide, exc] += 1
+                            with pytest.raises(exc) as err:
+                                next(op.chain(m, upward))
+                            assert err.value.witness == first_state(b, stray)
+                        want = plain_chain(delta, fixed)
+                        fixed_mask = plain_mask(b, fixed)
+                        assert [op.set_of(c) for c in op.chain(fixed_mask, upward)] == want
+                        fixed_point = op.mu_post_mask if upward else op.nu_pre_mask
+                        assert fixed_point(fixed_mask) == plain_mask(b, want[-1])
+                        seen[wide, upward, len(want) > 3] += 1
+        for wide in (False, True):
+            assert seen[wide, "repeated"] > 50
+            assert min(seen[wide, NotPostFixed], seen[wide, NotPreFixed]) > 20
+            assert min(seen[wide, True, True], seen[wide, False, True]) > 5
+
+    @pytest.mark.parametrize("n", [WORD_STATES, WORD_STATES + 1, 300])
+    def test_unknown_successor_is_refused_by_its_name(self, n):
+        # the first unknown name in declaration order, whatever the mapping's order
+        states = [f"s{i}" for i in range(n)]
+        successors = {x: [states[(i + 1) % n]] for i, x in enumerate(states)}
+        successors["s50"] = ["s1", "ghost2", "s2"]
+        successors["s20"] = ["s3", "ghost1"]
+        successors = dict(reversed(successors.items()))
+        with pytest.raises(ValueError, match=r"^'ghost1' is not a state$"):
+            MonotoneOp(states, successors)
+
+
 def timed_in_child(system: str, call: str, timeout: float = 10) -> tuple[float, str]:
     """Build `system` from gen and time `call` on it as `ts`, in a fresh
     interpreter killed after `timeout` seconds; return the call's wall time
@@ -312,6 +409,25 @@ class TestChainScale:
         )
         assert result == repr(["s19999"])
         assert seconds < 2
+
+
+    def test_fixed_points_keep_only_the_last_iterate(self):
+        # 20,000 stages each: holding every iterate until the chain ends
+        # peaks at tens of MiB
+        ts = lockstep_system(20000)
+        op = MonotoneOp.from_transition_system(ts)
+        machine = cases.chk_chain(20000, True)
+        for call, want in (
+            (lambda: mu_post(op, ts.init), frozenset(ts.states[:20000])),
+            (lambda: is_wellfounded(machine), True),
+        ):
+            tracemalloc.start()
+            try:
+                assert call() == want
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
 
 class TestSafety:
