@@ -14,13 +14,13 @@ from importlib import import_module
 _EXPORTS = {  # submodule -> the names it exports
     "errors": (
         "ArityMismatch", "BijectionViolation", "BoundExceeded",
-        "BudgetExceeded", "DepthLimit", "NotCaMorphism", "NotPostFixed",
-        "NotPreFixed", "ParseError", "RelfixError", "SchemaError",
-        "SignatureMismatch", "UnboundVariable", "UnknownSymbol",
+        "BudgetExceeded", "DepthLimit", "NotPostFixed", "NotPreFixed",
+        "ParseError", "RelfixError", "SchemaError", "SignatureMismatch",
+        "UnboundVariable", "UnknownSymbol",
     ),
     "finstruct": (
-        "CaMorphism", "FinAlgebra", "FinCoalgebra", "all_algebras",
-        "all_coalgebras", "enumerate_hylo", "is_ca_morphism", "is_wellfounded",
+        "FinAlgebra", "FinCoalgebra", "all_algebras", "all_coalgebras",
+        "enumerate_hylo", "is_ca_morphism", "is_wellfounded",
     ),
     "fractal": (
         "BoundaryPoint", "CellSet", "approximant", "carpet_member", "d_path",
@@ -32,9 +32,8 @@ _EXPORTS = {  # submodule -> the names it exports
     ),
     "mu": ("mu_equal", "mu_hom_count"),
     "nu": (
-        "RationalTree", "TreePrefix", "cartesian_subcoalgebras",
-        "classify_cartesian", "coextension", "enum_nu_prefixes", "is_a_guided",
-        "meet_algebra",
+        "TreePrefix", "cartesian_subcoalgebras", "classify_cartesian",
+        "enum_nu_prefixes", "is_a_guided", "meet_algebra",
     ),
     "sigterm": (
         "EquationSet", "Signature", "Term", "app", "congruence_decide",

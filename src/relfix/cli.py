@@ -148,6 +148,8 @@ def _cmd_recursive(args) -> int:
     from .finstruct import all_algebras, check_recursive_on, count_algebras
     from .jsonio import load_coalgebra
 
+    if args.max_carrier < 1:  # no algebra tested would make any machine recursive
+        raise ValueError(f"--max-carrier {args.max_carrier} is below 1")
     coalg = load_coalgebra(args.coalgebra)
     count_algebras(coalg.sig, args.max_carrier, args.budget)
     tested = 0

@@ -73,10 +73,6 @@ class BoundExceeded(RelfixError):
     """A request exceeds a fixed size bound; the message names the quantity."""
 
 
-class NotCaMorphism(RelfixError):
-    """A map presented as a solution of the recursion square fails the equation."""
-
-
 class BijectionViolation(RelfixError):
     """A claimed one-to-one correspondence failed an internal cross-check."""
 

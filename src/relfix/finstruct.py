@@ -14,13 +14,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .errors import (
-    DEFAULT_BUDGET,
-    ArityMismatch,
-    BudgetExceeded,
-    NotCaMorphism,
-    SignatureMismatch,
-)
+from .errors import DEFAULT_BUDGET, ArityMismatch, BudgetExceeded, SignatureMismatch
 from .sigterm import Signature
 
 
@@ -127,20 +121,6 @@ def is_ca_morphism(coalg: FinCoalgebra, alg: FinAlgebra, f: Mapping[str, str]) -
         if f[x] != alg.app(op, tuple(f[y] for y in args)):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class CaMorphism:
-    """A verified solution of the square for one (machine, algebra) pair."""
-
-    source: FinCoalgebra
-    target: FinAlgebra
-    mapping: dict[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", dict(self.mapping))
-        if not is_ca_morphism(self.source, self.target, self.mapping):
-            raise NotCaMorphism("map does not satisfy the square")
 
 
 def _values_of(args: tuple[str, ...]):

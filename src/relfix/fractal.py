@@ -9,6 +9,7 @@ adjacent retained cell contains them.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
@@ -27,6 +28,9 @@ RES_LIMIT = 4096
 STEP_LIMIT = 2**21
 
 Coord = Union[Fraction, int, float, str]
+
+# the exponent of a decimal string, which `Fraction` raises 10 to before any check
+_EXPONENT = re.compile(r"e([-+]?)(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,15 @@ def carpet_member(x: Coord, y: Coord, depth: int) -> bool:
     Points on a gridline count as inside whenever an adjacent retained
     cell contains them.
     """
+    for name, v in (("x", x), ("y", y)):
+        exponent = _EXPONENT.search(v) if isinstance(v, str) else None
+        if exponent:
+            digits = exponent[2].replace("_", "").lstrip("0")
+            if len(digits) > len(str(STEP_LIMIT)) or int(digits or 0) > STEP_LIMIT:
+                raise BoundExceeded(
+                    f"{name} has decimal exponent {exponent[1]}{exponent[2]}, "
+                    f"over the bound {STEP_LIMIT}"
+                )
     try:
         fx, fy = Fraction(x), Fraction(y)
     except ZeroDivisionError:
@@ -102,9 +115,10 @@ def carpet_member(x: Coord, y: Coord, depth: int) -> bool:
     if not (0 <= fx <= 1 and 0 <= fy <= 1):
         raise ValueError("the carpet lives in the unit square")
     for name, v in (("x", fx), ("y", fy)):
-        # v lands on a cut at digit k exactly when its denominator is 3^k
+        # v lands on a cut at digit k exactly when its denominator is 3^k;
+        # from k = depth on, either way all `depth` digits are scanned
         k = round(log(v.denominator, 3))
-        steps = min(depth, k) if 3**k == v.denominator else depth
+        steps = k if k < depth and 3**k == v.denominator else depth
         if steps > STEP_LIMIT:
             raise BoundExceeded(f"{name} needs {steps} digit steps, over the bound {STEP_LIMIT}")
     return _middle_levels(fx, depth) & _middle_levels(fy, depth) == 0

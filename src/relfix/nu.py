@@ -3,10 +3,10 @@
 An algebra a on carrier A determines, for each element x, the family of
 A-labeled trees where a node labeled x carrying symbol op with child labels
 y1..yk satisfies a(op)(y1,...,yk) = x.  The full trees are usually infinite;
-this module works with finite prefixes, with rational trees presented by a
-machine plus a labeling, and with the subset form of the same idea: the
-fixed points of next-time, the right adjoint `box_mask` of a machine's
-successor image, which are the solutions into the meet algebra.
+this module works with finite prefixes, with the tree a solution labels
+when a machine is unfolded from a state, and with the subset form of the
+same idea: the fixed points of next-time, the right adjoint `box_mask` of a
+machine's successor image, which are the solutions into the meet algebra.
 """
 from __future__ import annotations
 
@@ -14,16 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import inf
-from typing import Mapping
 
 from .errors import DEFAULT_BUDGET, BijectionViolation, BoundExceeded, BudgetExceeded
-from .finstruct import (
-    CaMorphism,
-    FinAlgebra,
-    FinCoalgebra,
-    _saturating_pow,
-    enumerate_hylo,
-)
+from .finstruct import FinAlgebra, FinCoalgebra, _saturating_pow, enumerate_hylo
 # Imported here, not in `cartesian_subcoalgebras`: a function-local import
 # there made each `classify_cartesian` call on a small machine about 5% slower.
 from .lattice import MonotoneOp
@@ -155,61 +148,32 @@ def enum_nu_prefixes(
     return _build_prefixes(root, depth, str, tree_fibers(alg), budget)  # labels are keys
 
 
-@dataclass(frozen=True)
-class RationalTree:
-    """A labeled tree presented by a machine, a labeling, and a start state."""
-
-    machine: FinCoalgebra
-    labeling: dict[str, str]
-    start: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "labeling", dict(self.labeling))
-        if self.start not in self.machine.step:
-            raise ValueError(f"start {self.start!r} is not a machine state")
-        for x in self.machine.states:
-            if x not in self.labeling:
-                raise ValueError(f"state '{x}' has no label")
-
-    @property
-    def root_label(self) -> str:
-        return self.labeling[self.start]
-
-    def unfold(self, depth: int) -> TreePrefix:
-        steps = {x: (step,) for x, step in self.machine.step.items()}
-        return _build_prefixes(self.start, depth, self.labeling.get, steps, inf)[0]
-
-
-def coextension(
-    coalg: FinCoalgebra, alg: FinAlgebra, f: Mapping[str, str], start: str
-) -> RationalTree:
-    """The guided tree a solution f spreads out from a chosen state."""
-    return RationalTree(coalg, CaMorphism(coalg, alg, f).mapping, start)
-
-
 def count_coalg_homs_to_nu(
     coalg: FinCoalgebra, alg: FinAlgebra, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Number of machine maps into the greatest solution.
 
-    Counted through the solution enumeration, then cross-checked: each
-    solution's trees must be guided at unfolding depths 0..CHECK_DEPTH and must
-    return the solution on root labels, and distinct solutions must stay
-    distinct.  Any failed check raises BijectionViolation.
+    Counted through the solution enumeration, then cross-checked: the machine
+    unfolded from each state, labeled by each solution, must be guided at
+    depths 0..CHECK_DEPTH and must return the solution on root labels, and
+    distinct solutions must stay distinct.  Any failed check raises
+    BijectionViolation; a value outside the carrier raises ValueError.
     """
     solutions = enumerate_hylo(coalg, alg, budget)
+    steps = {x: (step,) for x, step in coalg.step.items()}  # one expansion each
     seen: set[tuple[str, ...]] = set()  # each solution's values in state order
     for f in solutions:
         values = tuple([f[x] for x in coalg.states])
         if values in seen:
             raise BijectionViolation("duplicate solution in enumeration")
         seen.add(values)
-        for x in coalg.states:
-            tree = coextension(coalg, alg, f, x)
-            if tree.root_label != f[x]:
-                raise BijectionViolation("root label does not recover the solution")
-            for d in range(CHECK_DEPTH + 1):
-                if not is_a_guided(alg, tree.unfold(d)):
+        # depth 0 first: its leaves check every value against the carrier
+        for d in range(CHECK_DEPTH + 1):
+            for x in coalg.states:
+                tree = _build_prefixes(x, d, f.__getitem__, steps, inf)[0]
+                if tree.label != f[x]:
+                    raise BijectionViolation("root label does not recover the solution")
+                if not is_a_guided(alg, tree):
                     raise BijectionViolation("unfolding left the guided trees")
     return len(solutions)
 

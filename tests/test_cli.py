@@ -275,6 +275,14 @@ def test_recursive_positive(capsys, tmp_path):
     assert body == {"algebras_tested": 33, "max_carrier": 2, "recursive": True}
 
 
+def test_recursive_refuses_max_carrier_below_one(capsys):
+    # with no algebra tested, the cyclic two_cycle machine would pass as recursive
+    for value in ("0", "-1"):
+        assert main(["recursive", str(DATA / "two_cycle.json"), "--max-carrier", value]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --max-carrier {value} is below 1\n")
+
+
 def test_sierpinski(capsys, tmp_path):
     out = tmp_path / "carpet.pgm"
     code, body = run(capsys, "sierpinski", "--depth", "1", "--res", "3", "--out", out)
@@ -295,6 +303,14 @@ def test_carpet_member(capsys):
 def test_carpet_member_outside_unit_square(capsys):
     code, body = run(capsys, "carpet-member", "2", "0", "--depth", "3")
     assert code == 2
+
+
+def test_carpet_member_refuses_a_huge_decimal_exponent():
+    start = time.perf_counter()
+    proc = run_process("carpet-member", "1e-100000000", "0.5", timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr == "error: x has decimal exponent -100000000, over the bound 2097152\n"
 
 
 def test_selftest(capsys):

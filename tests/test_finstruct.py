@@ -5,14 +5,8 @@ from itertools import islice, product
 
 import pytest
 
-from relfix.errors import (
-    ArityMismatch,
-    BudgetExceeded,
-    NotCaMorphism,
-    SignatureMismatch,
-)
+from relfix.errors import ArityMismatch, BudgetExceeded, SignatureMismatch
 from relfix.finstruct import (
-    CaMorphism,
     FinAlgebra,
     FinCoalgebra,
     all_algebras,
@@ -168,13 +162,6 @@ class TestSquare:
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatch):
             is_ca_morphism(cases.three_state_automaton(), cases.flip_algebra(), {})
-
-    def test_camorphism_validates(self):
-        b, a = cases.chk_two_cycle(), cases.flip_algebra()
-        m = CaMorphism(b, a, {"q0": "0", "q1": "1"})
-        assert m.mapping == {"q0": "0", "q1": "1"}
-        with pytest.raises(NotCaMorphism):
-            CaMorphism(b, a, {"q0": "0", "q1": "0"})
 
 
 class TestEnumerate:

@@ -1,6 +1,7 @@
 """Carpet approximants, membership, rendering, and boundary metrics."""
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,19 @@ class TestMembership:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             carpet_member("1/0", 0, 1)
+
+    def test_decimal_exponent_over_bound_is_refused_before_parsing(self):
+        # Fraction would build 10^(10^8) first; the refusal names exponent and bound
+        start = time.perf_counter()
+        over = f"x has decimal exponent -100000000, over the bound {STEP_LIMIT}"
+        with pytest.raises(BoundExceeded, match=over):
+            carpet_member("1e-100000000", "0.5", 8)
+        with pytest.raises(BoundExceeded, match=f"y has decimal exponent \\+{STEP_LIMIT + 1},"):
+            carpet_member("0.5", f"1E+{STEP_LIMIT + 1}", 8)
+        assert time.perf_counter() - start < 2
+        # a small exponent still parses and answers
+        assert carpet_member("1e-1000", "0.5", 8) is True
+        assert carpet_member("1e-1000", "1e-1000", 3000) is False
 
 
 class TestRender:

@@ -1,20 +1,19 @@
 """Guided prefixes, rational trees, and next-time fixed points."""
 import random
 from itertools import product
+from math import inf
 
 import pytest
 
 from relfix import jsonio, nu
 from relfix.cli import main
-from relfix.errors import BijectionViolation, BoundExceeded, BudgetExceeded, NotCaMorphism
+from relfix.errors import BijectionViolation, BoundExceeded, BudgetExceeded
 from relfix.finstruct import FinAlgebra, FinCoalgebra, all_coalgebras, enumerate_hylo
 from relfix.lattice import MonotoneOp
 from relfix.nu import (
-    RationalTree,
     TreePrefix,
     cartesian_subcoalgebras,
     classify_cartesian,
-    coextension,
     count_coalg_homs_to_nu,
     enum_nu_prefixes,
     is_a_guided,
@@ -30,6 +29,13 @@ from oracles import naive_next_time_fixed_points, truncate
 
 def leaf(label):
     return TreePrefix(label)
+
+
+def unfold(machine, labeling, start, depth) -> TreePrefix:
+    """The machine unfolded `depth` deep from `start`, nodes labeled by
+    `labeling`: the tree `count_coalg_homs_to_nu` checks."""
+    steps = {x: (step,) for x, step in machine.step.items()}
+    return nu._build_prefixes(start, depth, labeling.__getitem__, steps, inf)[0]
 
 
 def printed_nodes(prefix: TreePrefix) -> int:
@@ -204,32 +210,23 @@ class TestEnumPrefixes:
 
 
 class TestCoextension:
+    """The tree a solution labels when its machine is unfolded from a state."""
+
     def test_alternating_tree(self):
         b, a = cases.chk_two_cycle(), cases.flip_algebra()
-        tree = coextension(b, a, {"q0": "0", "q1": "1"}, "q0")
-        assert tree.root_label == "0"
-        got = tree.unfold(3)
-        assert got == TreePrefix(
+        f = {"q0": "0", "q1": "1"}
+        assert unfold(b, f, "q0", 3) == TreePrefix(
             "0", "chk", (TreePrefix("1", "chk", (TreePrefix("0", "chk", (leaf("1"),)),)),)
         )
         for d in range(5):
-            assert is_a_guided(a, tree.unfold(d))
-
-    def test_rejects_non_solution(self):
-        with pytest.raises(NotCaMorphism):
-            coextension(cases.chk_two_cycle(), cases.flip_algebra(), {"q0": "0", "q1": "0"}, "q0")
-
-    def test_rejects_unknown_start(self):
-        with pytest.raises(ValueError):
-            coextension(cases.cross_loop(), cases.flip_algebra(), {"q": "0"}, "zz")
+            assert is_a_guided(a, unfold(b, f, "q0", d))
 
     def test_constant_stream(self):
-        tree = coextension(cases.cross_loop(), cases.flip_algebra(), {"q": "1"}, "q")
-        assert tree.unfold(2) == TreePrefix("1", "cross", (TreePrefix("1", "cross", (leaf("1"),)),))
+        tree = unfold(cases.cross_loop(), {"q": "1"}, "q", 2)
+        assert tree == TreePrefix("1", "cross", (TreePrefix("1", "cross", (leaf("1"),)),))
 
     def test_unfold_deeper_than_the_recursion_limit(self):
-        tree = coextension(cases.cross_loop(), cases.flip_algebra(), {"q": "1"}, "q")
-        node, depth = tree.unfold(5000), 0
+        node, depth = unfold(cases.cross_loop(), {"q": "1"}, "q", 5000), 0
         while not node.is_leaf:
             assert (node.label, node.op) == ("1", "cross")
             (node,) = node.children
@@ -245,18 +242,16 @@ class TestBisimilar:
         b4 = cases.unary_machine(
             {"p0": ("chk", "p1"), "p1": ("chk", "p2"), "p2": ("chk", "p3"), "p3": ("chk", "p0")}
         )
-        t2 = RationalTree(b2, {"q0": "0", "q1": "1"}, "q0")
-        t4 = RationalTree(b4, {"p0": "0", "p1": "1", "p2": "0", "p3": "1"}, "p0")
-        shifted = RationalTree(b4, t4.labeling, "p1")
+        f2 = {"q0": "0", "q1": "1"}
+        f4 = {"p0": "0", "p1": "1", "p2": "0", "p3": "1"}
         for d in range(6):
-            assert t2.unfold(d) == t4.unfold(d)
-            assert t2.unfold(d) != shifted.unfold(d)
+            assert unfold(b2, f2, "q0", d) == unfold(b4, f4, "p0", d)
+            assert unfold(b2, f2, "q0", d) != unfold(b4, f4, "p1", d)
 
     def test_op_mismatch_detected(self):
-        chk = RationalTree(cases.chk_loop(), {"q": "0"}, "q")
-        cross = RationalTree(cases.cross_loop(), {"q": "0"}, "q")
-        assert chk.unfold(0) == cross.unfold(0)
-        assert chk.unfold(1) != cross.unfold(1)
+        chk, cross, f = cases.chk_loop(), cases.cross_loop(), {"q": "0"}
+        assert unfold(chk, f, "q", 0) == unfold(cross, f, "q", 0)
+        assert unfold(chk, f, "q", 1) != unfold(cross, f, "q", 1)
 
 
 class TestCountHoms:
@@ -283,13 +278,23 @@ class TestCountHoms:
                 == len(enumerate_hylo(b, a))
             )
 
-    def test_duplicate_solution_is_a_bijection_violation(self, monkeypatch):
+    @pytest.mark.parametrize("bad, message", [
+        # an equal solution built in another key order is still a duplicate
+        pytest.param({"q1": "0", "q0": "1"}, "duplicate solution in enumeration", id="duplicate"),
+        # q0 = chk(q1) fails under flip: the depth-1 unfolding is not guided
+        pytest.param({"q0": "0", "q1": "0"}, "unfolding left the guided trees", id="non-solution"),
+    ])
+    def test_bad_enumeration_is_a_bijection_violation(self, monkeypatch, bad, message):
         b, a = cases.chk_two_cycle(), cases.flip_algebra()
         solutions = enumerate_hylo(b, a)
-        # an equal solution built in another key order is still a duplicate
-        again = dict(reversed(list(solutions[0].items())))
-        monkeypatch.setattr(nu, "enumerate_hylo", lambda *_: solutions + [again])
-        with pytest.raises(BijectionViolation, match="duplicate solution in enumeration"):
+        monkeypatch.setattr(nu, "enumerate_hylo", lambda *_: solutions + [bad])
+        with pytest.raises(BijectionViolation, match=message):
+            count_coalg_homs_to_nu(b, a)
+
+    def test_value_outside_the_carrier_is_a_value_error(self, monkeypatch):
+        b, a = cases.chk_two_cycle(), cases.flip_algebra()
+        monkeypatch.setattr(nu, "enumerate_hylo", lambda *_: [{"q0": "0", "q1": "2"}])
+        with pytest.raises(ValueError, match="'2' is not a carrier element"):
             count_coalg_homs_to_nu(b, a)
 
 
