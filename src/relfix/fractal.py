@@ -30,7 +30,7 @@ STEP_LIMIT = 2**21
 Coord = Union[Fraction, int, float, str]
 
 # the exponent of a decimal string, which `Fraction` raises 10 to before any check
-_EXPONENT = re.compile(r"e([-+]?)(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,10 @@ def carpet_member(x: Coord, y: Coord, depth: int) -> bool:
     for name, v in (("x", x), ("y", y)):
         exponent = _EXPONENT.search(v) if isinstance(v, str) else None
         if exponent:
-            digits = exponent[2].replace("_", "").lstrip("0")
+            digits = exponent[1].lstrip("+-").replace("_", "").lstrip("0")
             if len(digits) > len(str(STEP_LIMIT)) or int(digits or 0) > STEP_LIMIT:
                 raise BoundExceeded(
-                    f"{name} has decimal exponent {exponent[1]}{exponent[2]}, "
-                    f"over the bound {STEP_LIMIT}"
+                    f"{name} has decimal exponent {exponent[1]}, over the bound {STEP_LIMIT}"
                 )
     try:
         fx, fy = Fraction(x), Fraction(y)
