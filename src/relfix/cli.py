@@ -145,26 +145,23 @@ def _cmd_cartesian(args) -> int:
 
 
 def _cmd_recursive(args) -> int:
-    from .finstruct import all_algebras, check_recursive_on, count_algebras
+    from .finstruct import all_algebras, count_algebras, enumerate_hylo
     from .jsonio import load_coalgebra
 
     if args.max_carrier < 1:  # no algebra tested would make any machine recursive
         raise ValueError(f"--max-carrier {args.max_carrier} is below 1")
     coalg = load_coalgebra(args.coalgebra)
     count_algebras(coalg.sig, args.max_carrier, args.budget)
-    tested = 0
-
-    def algebras():
-        nonlocal tested
-        for size in range(1, args.max_carrier + 1):
-            for alg in all_algebras(coalg.sig, size):
-                tested += 1
-                yield alg
-
-    verdict = check_recursive_on(coalg, algebras(), args.budget)
+    sizes = range(1, args.max_carrier + 1)
+    algebras = (alg for size in sizes for alg in all_algebras(coalg.sig, size))
+    # recursive: exactly one solution against every algebra, up to the first without
+    for tested, alg in enumerate(algebras, 1):
+        recursive = len(enumerate_hylo(coalg, alg, args.budget)) == 1
+        if not recursive:
+            break
     _emit(
         {
-            "recursive": verdict,
+            "recursive": recursive,
             "algebras_tested": tested,
             "max_carrier": args.max_carrier,
         }

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import DEFAULT_BUDGET, ArityMismatch, BudgetExceeded, SignatureMismatch
 from .sigterm import Signature
@@ -185,9 +185,10 @@ def enumerate_hylo(
             for (row_op, row), out in table.items():
                 if row_op == op and out not in image and all(map(set.__contains__, sets, row)):
                     image.add(out)
+        # never empty: the pools are non-empty, so the image is, and it lies
+        # within the last image, which is x's candidate list; only the
+        # single-state filter and the search find that no solution exists
         kept = [c for c in candidates[x] if c in image]
-        if not kept:
-            return []
         if len(kept) != len(candidates[x]):
             candidates[x] = kept
             work.extend(users[x])
@@ -291,13 +292,6 @@ def is_wellfounded(coalg: FinCoalgebra) -> bool:
     from .lattice import MonotoneOp
 
     return MonotoneOp.from_machine(coalg).nu_pre_mask((1 << len(coalg.states)) - 1) == 0
-
-
-def check_recursive_on(
-    coalg: FinCoalgebra, algebras: Iterable[FinAlgebra], budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Does the machine admit exactly one solution against every given algebra?"""
-    return all(len(enumerate_hylo(coalg, alg, budget)) == 1 for alg in algebras)
 
 
 def _saturating_pow(base: int, exp: int, cap: int) -> int:

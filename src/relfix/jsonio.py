@@ -160,8 +160,10 @@ def load_algebra(path) -> FinAlgebra:
     for row in raw_table:
         if not isinstance(row, dict) or not isinstance(row.get("op"), str) or not isinstance(row.get("out"), str):
             raise SchemaError(f"{path}: each table row needs \"op\" and \"out\" strings")
-        args = tuple(_str_list(row.get("args", []), f"{path}: table row"))
-        table[(row["op"], args)] = row["out"]
+        key = (row["op"], tuple(_str_list(row.get("args", []), f"{path}: table row")))
+        if key in table:
+            raise SchemaError(f"{path}: table row {key[0]}{key[1]} is given twice")
+        table[key] = row["out"]
     default = obj.get("default")
     if default is not None and not isinstance(default, str):
         raise SchemaError(f"{path}: default must be a string when present")

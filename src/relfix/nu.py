@@ -199,13 +199,6 @@ def meet_algebra(sig: Signature) -> FinAlgebra:
     return FinAlgebra(sig, ("0", "1"), table, default="0")
 
 
-@lru_cache(maxsize=None)
-def _meet_row_cells(sig: Signature) -> int:
-    """The argument cells of `meet_algebra(sig)`'s rows: the sum of the
-    arities, which a declared but unused symbol can make huge."""
-    return sum(arity for _, arity in sig.symbols)
-
-
 def classify_cartesian(
     coalg: FinCoalgebra, bound: int = 16, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[tuple[str, ...], dict[str, str]]]:
@@ -215,7 +208,8 @@ def classify_cartesian(
     and the solution search."""
     if 1 << len(coalg.states) > budget:
         raise BudgetExceeded(1 << len(coalg.states), budget)
-    cells = _meet_row_cells(coalg.sig)
+    # a declared but unused symbol can make the meet algebra's row cells huge
+    cells = sum([arity for _, arity in coalg.sig.symbols])
     if cells > budget:
         raise BudgetExceeded(cells, budget)
     subsets = cartesian_subcoalgebras(coalg, bound)

@@ -33,7 +33,7 @@ class Signature:
         for name, arity in sym:
             if not isinstance(name, str) or not name:
                 raise ValueError(f"bad symbol name {name!r}")
-            if not isinstance(arity, int) or arity < 0:
+            if type(arity) is not int or arity < 0:  # a bool is an int subclass
                 raise ValueError(f"bad arity {arity!r} for symbol '{name}'")
             if name in seen:
                 raise ValueError(f"symbol '{name}' declared twice")

@@ -725,6 +725,52 @@ def test_boolean_arity_is_a_schema_error(argv, capsys, tmp_path):
     assert body is None
 
 
+def test_signature_roundtrip():
+    for sig in (*cases.CARTESIAN_SIGS, cases.CS, Signature((("c", 0), ("p", 10**8)))):
+        doc = json.loads(jsonio.canonical_dumps(jsonio.signature_to_json(sig)))
+        assert jsonio.signature_from_json(doc) == sig
+
+
+S_SIG = {"symbols": [{"name": "s", "arity": 1}]}
+
+
+@pytest.mark.parametrize("loader, doc, message", [
+    ("load_coalgebra", ["not", "an", "object"], "top level must be an object"),
+    ("load_coalgebra", {"format": 1, "signature": S_SIG, "states": ["q"], "step": {"q": {"args": ["q"]}}},
+     "step of 'q' needs an \"op\" string"),
+    ("load_algebra", {"format": 1, "signature": S_SIG, "carrier": ["0"], "table": {}},
+     "expected a \"table\" list"),
+    ("load_algebra", {"format": 1, "signature": S_SIG, "carrier": ["0"], "table": [], "default": 0},
+     "default must be a string when present"),
+    ("load_algebra", {"format": 1, "signature": S_SIG, "carrier": ["0"], "table": [
+        {"op": "s", "args": ["0"], "out": "0"}, {"op": "s", "args": ["0"], "out": "0"},
+    ]}, "table row s('0',) is given twice"),
+], ids=["top-level-list", "step-without-op", "table-not-list", "default-not-string", "repeated-row"])
+def test_loader_refusal_names_the_file_and_the_fault(loader, doc, message, tmp_path):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        getattr(jsonio, loader)(f)
+    assert str(err.value) == f"{f}: {message}"
+
+
+def test_repeated_table_row_exits_2(capsys, tmp_path):
+    # the last s(0) row used to win, and q = s(q) was solved by q = 0
+    machine, algebra = tmp_path / "m.json", tmp_path / "a.json"
+    machine.write_text(json.dumps({"format": 1, "kind": "coalgebra", "signature": S_SIG,
+                                   "states": ["q"], "step": {"q": {"op": "s", "args": ["q"]}}}))
+    algebra.write_text(json.dumps({"format": 1, "kind": "algebra", "signature": S_SIG,
+                                   "carrier": ["0", "1"], "table": [
+        {"op": "s", "args": ["0"], "out": "1"},
+        {"op": "s", "args": ["0"], "out": "0"},
+        {"op": "s", "args": ["1"], "out": "0"},
+    ]}))
+    assert main(["hylo", str(machine), str(algebra), "--list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {algebra}: table row s('0',) is given twice\n"
+
+
 def test_output_is_deterministic(capsys):
     main(["galois", str(DATA / "chain_safe.json")])
     first = capsys.readouterr().out

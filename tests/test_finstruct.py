@@ -11,7 +11,6 @@ from relfix.finstruct import (
     FinCoalgebra,
     all_algebras,
     all_coalgebras,
-    check_recursive_on,
     count_algebras,
     enumerate_hylo,
     _saturating_pow,
@@ -50,6 +49,37 @@ class TestConstruction:
 
     def test_empty_machine_is_fine(self):
         assert cases.empty_machine().states == ()
+
+    @pytest.mark.parametrize("build, exc, message", [
+        (lambda: FinCoalgebra(cases.UNARY, ("q", "q"), {"q": ("chk", ("q",))}),
+         ValueError, "duplicate state names"),
+        (lambda: FinCoalgebra(cases.UNARY, ("q",), {"q": ("chk", ("q",)), "r": ("chk", ("q",))}),
+         ValueError, "step defined on non-states: ['r']"),
+        (lambda: FinAlgebra(cases.UNARY, ("0", "0"), {}, default="0"),
+         ValueError, "duplicate carrier elements"),
+        (lambda: FinAlgebra(cases.UNARY, ("0",), {("chk", ("0", "0")): "0"}, default="0"),
+         ArityMismatch, "symbol 'chk' expects 1 argument(s), got 2"),
+        (lambda: FinAlgebra(cases.UNARY, ("0",), {("chk", ("1",)): "0"}, default="0"),
+         ValueError, "table row chk('1',) uses non-carrier arguments"),
+        (lambda: FinAlgebra(cases.UNARY, ("0",), {("chk", ("0",)): "1"}, default="0"),
+         ValueError, "table row chk('0',) outputs non-carrier value '1'"),
+        (lambda: FinAlgebra(cases.UNARY, ("0",), {}, default="1"),
+         ValueError, "default '1' is not a carrier element"),
+        (lambda: cases.flip_algebra().app("chk", ("2",)),
+         ValueError, "no interpretation for chk('2',)"),
+        (lambda: is_ca_morphism(cases.chk_loop(), cases.flip_algebra(), {}),
+         ValueError, "map is not total: state 'q' missing"),
+        (lambda: is_ca_morphism(cases.chk_loop(), cases.flip_algebra(), {"q": "2"}),
+         ValueError, "map sends 'q' outside the carrier"),
+    ], ids=[
+        "duplicate-states", "step-on-non-state", "duplicate-carrier", "row-arity",
+        "non-carrier-argument", "non-carrier-output", "default-outside", "app-bad-tuple",
+        "map-missing-state", "map-outside-carrier",
+    ])
+    def test_bad_input_is_refused_by_name(self, build, exc, message):
+        with pytest.raises(exc) as err:
+            build()
+        assert str(err.value) == message
 
 
 def stated_every_tuple(sig, carrier, table, default) -> bool:
@@ -380,12 +410,12 @@ class TestWellFounded:
 class TestRecursivity:
     def test_acyclic_machine_unique_against_all_small_algebras(self):
         b = cases.acyclic_pq()
-        assert check_recursive_on(b, all_algebras(cases.CS, 1)) is True
-        assert check_recursive_on(b, all_algebras(cases.CS, 2)) is True
+        assert all(len(enumerate_hylo(b, a)) == 1 for a in all_algebras(cases.CS, 1))
+        assert all(len(enumerate_hylo(b, a)) == 1 for a in all_algebras(cases.CS, 2))
 
     def test_loops_fail_against_flip(self):
-        assert check_recursive_on(cases.chk_loop(), [cases.flip_algebra()]) is False
-        assert check_recursive_on(cases.cross_loop(), [cases.flip_algebra()]) is False
+        assert len(enumerate_hylo(cases.chk_loop(), cases.flip_algebra())) != 1
+        assert len(enumerate_hylo(cases.cross_loop(), cases.flip_algebra())) != 1
 
 
 class TestMorphismComposition:

@@ -223,6 +223,19 @@ def random_boundary_point(rng: random.Random) -> BoundaryPoint:
     return BoundaryPoint(edge, t)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: BoundaryPoint("middle", 0), "unknown edge 'middle'"),
+    (lambda: BoundaryPoint("top", Fraction(-1, 3)), "edge parameter must lie in [0, 1]"),
+    (lambda: BoundaryPoint("left", Fraction(4, 3)), "edge parameter must lie in [0, 1]"),
+    (lambda: render(1, 0), "resolution must be positive"),
+    (lambda: render(1, -3), "resolution must be positive"),
+], ids=["bad-edge", "t-below-0", "t-above-1", "res-0", "res-negative"])
+def test_bad_input_is_refused_by_name(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 class TestMetrics:
     def test_opposite_corners(self):
         p = BoundaryPoint("bottom", 0)  # (0, 0)

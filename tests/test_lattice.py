@@ -13,7 +13,6 @@ import pytest
 from relfix.errors import NotPostFixed, NotPreFixed
 from relfix.finstruct import FinCoalgebra, is_wellfounded
 from relfix.lattice import (
-    UNSAFE_BACKWARD,
     UNSAFE_FORWARD,
     WORD_STATES,
     MonotoneOp,
@@ -223,7 +222,7 @@ def plain_verdict(ts: TransitionSystem, up, down) -> SafetyVerdict:
         if reach - ts.safe:
             return SafetyVerdict("unsafe", stage, UNSAFE_FORWARD, first_state(ts, reach - ts.safe))
         if ts.init - trim:
-            return SafetyVerdict("unsafe", stage, UNSAFE_BACKWARD, first_state(ts, ts.init - trim))
+            return SafetyVerdict("unsafe", stage, "I ⊄ F^n(P)", first_state(ts, ts.init - trim))
     return SafetyVerdict("safe", stage)
 
 
@@ -430,6 +429,19 @@ class TestChainScale:
             assert peak < 16 * 2**20
 
 
+class TestTransitionSystem:
+    @pytest.mark.parametrize("states, delta, init, message", [
+        (("s0", "s0"), {}, (), "duplicate state names"),
+        (("s0",), {"s1": ()}, (), "delta defined on non-state 's1'"),
+        (("s0",), {"s0": ("s1",)}, (), "delta of 's0' leaves the state set"),
+        (("s0",), {}, ("s1",), "init contains non-states"),
+    ], ids=["duplicate-states", "delta-on-non-state", "delta-leaves", "init-outside"])
+    def test_bad_input_is_refused_by_name(self, states, delta, init, message):
+        with pytest.raises(ValueError) as err:
+            TransitionSystem(states, delta, frozenset(init), frozenset())
+        assert str(err.value) == message
+
+
 class TestSafety:
     def test_safe_chain(self):
         verdict = safety_check(chain_ts())
@@ -446,6 +458,19 @@ class TestSafety:
         assert verdict.side == UNSAFE_FORWARD
         assert verdict.witness == "s0"
         assert verdict.stage == 0
+
+    def test_decided_at_stage_zero_on_both_sides_of_word_states(self):
+        # with I post-fixed and P pre-fixed, mu_post(I) <= P iff I <= nu_pre(P) iff I <= P
+        seen = Counter()
+        for ts in chain_inputs(random.Random(23)):
+            verdict = safety_check(ts)
+            if ts.init <= ts.safe:
+                assert verdict.is_safe
+            else:
+                witness = first_state(ts, ts.init - ts.safe)
+                assert verdict == SafetyVerdict("unsafe", 0, UNSAFE_FORWARD, witness)
+            seen[len(ts.states) > WORD_STATES, verdict.result] += 1
+        assert len(seen) == 4
 
     def test_precondition_failure_raises(self):
         with pytest.raises(NotPreFixed) as err:

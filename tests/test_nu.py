@@ -399,6 +399,17 @@ class TestCartesian:
         assert ("b",) not in cartesian_subcoalgebras(b)
 
 
+@pytest.mark.parametrize("build, exc, message", [
+    (lambda: TreePrefix("0", None, (leaf("0"),)), ValueError, "a leaf cannot have children"),
+    (lambda: classify_cartesian(cases.chk_two_cycle(), budget=3),
+     BudgetExceeded, "enumeration of size 4 exceeds budget 3"),
+], ids=["leaf-with-children", "subsets-over-budget"])
+def test_bad_input_is_refused_by_name(build, exc, message):
+    with pytest.raises(exc) as err:
+        build()
+    assert str(err.value) == message
+
+
 class TestMeetAlgebra:
     def test_binary_meet(self):
         alg = meet_algebra(cases.BINARY)

@@ -53,6 +53,22 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature((("f", -1),))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Signature((("", 1),)), "bad symbol name ''"),
+        (lambda: Signature(((3, 1),)), "bad symbol name 3"),
+        # a bool is an int, but signature_to_json would write it as true
+        (lambda: Signature((("f", True),)), "bad arity True for symbol 'f'"),
+        (lambda: Signature((("f", False),)), "bad arity False for symbol 'f'"),
+        (lambda: Signature((("f", 1.0),)), "bad arity 1.0 for symbol 'f'"),
+        (lambda: var(""), "bad variable name ''"),
+        (lambda: var(7), "bad variable name 7"),
+    ], ids=["empty-name", "int-name", "true-arity", "false-arity", "float-arity",
+            "empty-var", "int-var"])
+    def test_bad_names_and_arities_are_refused(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
     def test_arity_lookup(self):
         assert MIXED.arity("f") == 2
         assert "g" in MIXED
