@@ -8,8 +8,7 @@ state's successor term under the map reproduces the state's own value.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
 from typing import Iterator, Mapping
@@ -63,6 +62,8 @@ class FinAlgebra:
     carrier: tuple[str, ...]
     table: dict[tuple[str, tuple[str, ...]], str]
     default: str | None = None
+    # outputs[op]: in carrier order, the values op takes over the whole carrier
+    outputs: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         carrier = tuple(self.carrier)
@@ -71,6 +72,8 @@ class FinAlgebra:
         if len(carrier_set) != len(carrier):
             raise ValueError("duplicate carrier elements")
         norm: dict[tuple[str, tuple[str, ...]], str] = {}
+        rows = {op: 0 for op, _ in self.sig.symbols}
+        outputs: dict[str, set[str]] = {op: set() for op in rows}
         for (op, args), out in self.table.items():
             args = tuple(args)
             expected = self.sig.arity(op)
@@ -81,19 +84,23 @@ class FinAlgebra:
             if out not in carrier_set:
                 raise ValueError(f"table row {op}{args} outputs non-carrier value {out!r}")
             norm[(op, args)] = out
+            rows[op] += 1
+            outputs[op].add(out)
         object.__setattr__(self, "table", norm)
-        if self.default is None:
-            # the rows are distinct in-carrier tuples of the right arity, so
-            # a symbol's table is total exactly when it has carrier^arity rows
-            rows = Counter(op for op, _ in norm)
-            for op, arity in self.sig.symbols:
-                if rows[op] != _saturating_pow(len(carrier), arity, rows[op]):
+        if self.default is not None and self.default not in carrier_set:
+            raise ValueError(f"default {self.default!r} is not a carrier element")
+        # the rows are distinct in-carrier tuples of the right arity, so a
+        # symbol's table is total exactly when it has carrier^arity rows
+        for op, arity in self.sig.symbols:
+            if rows[op] != _saturating_pow(len(carrier), arity, rows[op]):
+                if self.default is None:
                     raise ValueError(
                         f"no default, and symbol '{op}' has {rows[op]} table rows "
                         f"where {len(carrier)}^{arity} are needed"
                     )
-        elif self.default not in carrier_set:
-            raise ValueError(f"default {self.default!r} is not a carrier element")
+                outputs[op].add(self.default)
+        outputs = {op: [c for c in carrier if c in outs] for op, outs in outputs.items()}
+        object.__setattr__(self, "outputs", outputs)
 
     def app(self, op: str, args: tuple[str, ...]) -> str:
         out = self.table.get((op, args), self.default)
@@ -140,11 +147,11 @@ def enumerate_hylo(
 
     Candidate values per state are first narrowed to a fixpoint: a value
     survives at x only if some choice of surviving successor values produces
-    it.  When the argument tuples outnumber the algebra's stated rows, that
-    image is read from the rows instead: the outputs of the rows whose
-    arguments all survive, plus `default`, which the unstated tuples take.
-    If the surviving search space still exceeds `budget`, the enumeration
-    refuses to run rather than run long.
+    it.  Each state starts from its op's outputs, its image over whole
+    pools.  A visit scans the argument tuples, or, past the algebra's row
+    count, the rows whose arguments all survive plus `default`, and stops
+    once every candidate has a producer; it never empties a candidate list.
+    If the surviving space still exceeds `budget`, the enumeration refuses.
 
     The search assigns states in declaration order and tries values in
     carrier order, checking forward (Haralick and Elliott, 1980): once all
@@ -158,39 +165,46 @@ def enumerate_hylo(
     full = len(alg.carrier) ** len(states)
     table, get, default = alg.table, alg.table.get, alg.default
     rows = len(table)
-    candidates = {x: list(alg.carrier) for x in states}
+    # over full successor pools, a state's image is its op's outputs
+    candidates = {x: list(alg.outputs[coalg.step[x][0]]) for x in states}
     # users[y]: the states whose step mentions y, once per mention
     users: dict[str, list[str]] = {x: [] for x in states}
     for z in states:
         for y in coalg.step[z][1]:
             users[y].append(z)
     # a state's image changes only after a successor's candidates shrank
-    work = list(states)
+    work = [z for y in states if len(candidates[y]) < len(alg.carrier) for z in users[y]]
     while work:
         x = work.pop()
         op, args = coalg.step[x]
         pools = [candidates[y] for y in args]
+        # unmet: x's candidates that no tuple has produced yet
+        unmet = set(candidates[x])
         tuples = 1
         for pool in pools:
             tuples *= len(pool)
             if tuples > rows:
                 break
         if tuples <= rows:
-            image = {get((op, combo), default) for combo in product(*pools)}
+            for combo in product(*pools):
+                unmet.discard(get((op, combo), default))
+                if not unmet:
+                    break
         else:
             # more tuples than rows, so some tuple is unstated and takes the
             # default (which exists: a table without one states every tuple)
+            unmet.discard(default)
             sets = [set(pool) for pool in pools]
-            image = {default}
             for (row_op, row), out in table.items():
-                if row_op == op and out not in image and all(map(set.__contains__, sets, row)):
-                    image.add(out)
-        # never empty: the pools are non-empty, so the image is, and it lies
-        # within the last image, which is x's candidate list; only the
-        # single-state filter and the search find that no solution exists
-        kept = [c for c in candidates[x] if c in image]
-        if len(kept) != len(candidates[x]):
-            candidates[x] = kept
+                if not unmet:
+                    break
+                if out in unmet and row_op == op and all(map(set.__contains__, sets, row)):
+                    unmet.discard(out)
+        # never all of them: the pools are non-empty and only shrink, so the
+        # image is non-empty and within x's list, its image over larger pools;
+        # only the single-state filter and the search find that none solves
+        if unmet:
+            candidates[x] = [c for c in candidates[x] if c not in unmet]
             work.extend(users[x])
     space = 1
     for x in states:

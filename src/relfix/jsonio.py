@@ -44,14 +44,29 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """An object's members, refusing a key given twice, which `json` would
+    otherwise let the last one win."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"object key {key!r} is given twice")
+            seen.add(key)
+    return obj
+
+
 def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: top level must be an object")
     return obj

@@ -155,8 +155,7 @@ def count_coalg_homs_to_nu(
 
     Counted through the solution enumeration, then cross-checked: the machine
     unfolded from each state, labeled by each solution, must be guided at
-    depths 0..CHECK_DEPTH and must return the solution on root labels, and
-    distinct solutions must stay distinct.  Any failed check raises
+    depths 0..CHECK_DEPTH, and distinct solutions must stay distinct.  Any failed check raises
     BijectionViolation; a value outside the carrier raises ValueError.
     """
     solutions = enumerate_hylo(coalg, alg, budget)
@@ -171,8 +170,6 @@ def count_coalg_homs_to_nu(
         for d in range(CHECK_DEPTH + 1):
             for x in coalg.states:
                 tree = _build_prefixes(x, d, f.__getitem__, steps, inf)[0]
-                if tree.label != f[x]:
-                    raise BijectionViolation("root label does not recover the solution")
                 if not is_a_guided(alg, tree):
                     raise BijectionViolation("unfolding left the guided trees")
     return len(solutions)
