@@ -72,8 +72,7 @@ class FinAlgebra:
         if len(carrier_set) != len(carrier):
             raise ValueError("duplicate carrier elements")
         norm: dict[tuple[str, tuple[str, ...]], str] = {}
-        rows = {op: 0 for op, _ in self.sig.symbols}
-        outputs: dict[str, set[str]] = {op: set() for op in rows}
+        outputs: dict[str, list[str]] = {op: [] for op, _ in self.sig.symbols}
         for (op, args), out in self.table.items():
             args = tuple(args)
             expected = self.sig.arity(op)
@@ -84,22 +83,22 @@ class FinAlgebra:
             if out not in carrier_set:
                 raise ValueError(f"table row {op}{args} outputs non-carrier value {out!r}")
             norm[(op, args)] = out
-            rows[op] += 1
-            outputs[op].add(out)
+            outputs[op].append(out)
         object.__setattr__(self, "table", norm)
         if self.default is not None and self.default not in carrier_set:
             raise ValueError(f"default {self.default!r} is not a carrier element")
         # the rows are distinct in-carrier tuples of the right arity, so a
         # symbol's table is total exactly when it has carrier^arity rows
         for op, arity in self.sig.symbols:
-            if rows[op] != _saturating_pow(len(carrier), arity, rows[op]):
+            rows, outs = len(outputs[op]), set(outputs[op])
+            if rows != _saturating_pow(len(carrier), arity, rows):
                 if self.default is None:
                     raise ValueError(
-                        f"no default, and symbol '{op}' has {rows[op]} table rows "
+                        f"no default, and symbol '{op}' has {rows} table rows "
                         f"where {len(carrier)}^{arity} are needed"
                     )
-                outputs[op].add(self.default)
-        outputs = {op: [c for c in carrier if c in outs] for op, outs in outputs.items()}
+                outs.add(self.default)
+            outputs[op] = [c for c in carrier if c in outs]
         object.__setattr__(self, "outputs", outputs)
 
     def app(self, op: str, args: tuple[str, ...]) -> str:

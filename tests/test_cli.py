@@ -771,6 +771,33 @@ def test_repeated_table_row_exits_2(capsys, tmp_path):
     assert captured.err == f"error: {algebra}: table row s('0',) is given twice\n"
 
 
+def test_repeated_step_state_exits_2(capsys, tmp_path):
+    # `json` keeps the last of two equal keys: q = c() used to load, and the
+    # loop q = g(q) was reported recursive
+    machine = tmp_path / "m.json"
+    machine.write_text(
+        '{"format": 1, "kind": "coalgebra", "signature": {"symbols": '
+        '[{"name": "g", "arity": 1}, {"name": "c", "arity": 0}]}, "states": ["q"], '
+        '"step": {"q": {"op": "g", "args": ["q"]}, "q": {"op": "c", "args": []}}}'
+    )
+    assert main(["recursive", str(machine), "--max-carrier", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {machine}: object key 'q' is given twice\n"
+
+
+def test_repeated_delta_state_exits_2(capsys, tmp_path):
+    system = tmp_path / "ts.json"
+    system.write_text(
+        '{"format": 1, "kind": "transition-system", "states": ["s0", "s1"], '
+        '"delta": {"s0": ["s1"], "s1": [], "s0": []}, "init": [], "safe": ["s0", "s1"]}'
+    )
+    assert main(["safety", str(system)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {system}: object key 's0' is given twice\n"
+
+
 def test_output_is_deterministic(capsys):
     main(["galois", str(DATA / "chain_safe.json")])
     first = capsys.readouterr().out

@@ -125,6 +125,24 @@ class TestTotality:
             verdicts.append(want)
         assert set(verdicts) == {True, False}
 
+    def test_outputs_are_each_symbols_image_over_the_carrier(self):
+        # the seed of narrowing: `default` counts only where some tuple
+        # has no row, and the values come in carrier order
+        unused_defaults = 0
+        for sig, carrier, table, default in self.tables():
+            if not self.accepted(sig, carrier, table, default):
+                continue
+            alg = FinAlgebra(sig, carrier, table, default)
+            for op, arity in sig.symbols:
+                image = {alg.app(op, args) for args in product(carrier, repeat=arity)}
+                assert alg.outputs[op] == [c for c in carrier if c in image]
+                unused_defaults += default is not None and default not in image
+        alg = FinAlgebra(cases.UNARY, ("0", "1", "2"), {
+            ("chk", ("0",)): "2", ("chk", ("1",)): "0", ("chk", ("2",)): "2", ("cross", ("1",)): "2",
+        }, default="1")
+        assert alg.outputs == {"chk": ["0", "2"], "cross": ["1", "2"]}
+        assert unused_defaults > 0
+
     def test_refusal_names_the_symbol_and_both_counts(self):
         table = {("chk", ("0",)): "1", ("chk", ("1",)): "0", ("cross", ("0",)): "0"}
         with pytest.raises(ValueError, match=r"symbol 'cross' has 1 table rows where 2\^1"):
@@ -247,16 +265,36 @@ class TestEnumerate:
         for _ in range(400):
             sig = sigs[rng.randrange(len(sigs))]
             b = random_machine(rng, sig, rng.randint(1, 4))
-            a = random_sparse_algebra(rng, sig, rng.randint(1, 3), rng.choice((0, 0.02, 0.2, 0.6)))
+            a = random_sparse_algebra(rng, sig, rng.randint(1, 3), rng.choice((0, 0.02, 0.2, 0.6, 1.0)))
             want = brute_force_hylo(b, a)
+            # the refusal flips exactly at the narrowed space
             space = naive_narrowed_space(b, a)
-            for budget in (1, 5, 10**6):
+            for budget in (1, 5, space - 1, space, 10**6):
                 if space > budget:
                     with pytest.raises(BudgetExceeded) as err:
                         enumerate_hylo(b, a, budget)
                     assert err.value.required == len(a.carrier) ** len(b.states)
                 else:
                     assert enumerate_hylo(b, a, budget) == want
+
+    @pytest.mark.parametrize("k, n, modulus", [
+        (100, 1000, 100), (100, 1000, 99), (200, 2000, 200), (200, 2000, 199),
+    ])
+    def test_narrowing_a_large_table_is_refused_quickly(self, k, n, modulus):
+        # f/2 with all k^2 rows: sums mod k produce every value, so nothing
+        # narrows; sums mod k - 1 never produce k - 1, so every state loses
+        # it and all its users are revisited.  Either way the space stays
+        # past the default budget.
+        sig = Signature((("f", 2),))
+        carrier = tuple(str(i) for i in range(k))
+        table = {("f", (a, b)): str((int(a) + int(b)) % modulus) for a in carrier for b in carrier}
+        alg = FinAlgebra(sig, carrier, table)
+        b = random_machine(random.Random(k), sig, n)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as err:
+            enumerate_hylo(b, alg)
+        assert time.perf_counter() - start < 5
+        assert err.value.required == k**n
 
     def test_long_chain_in_either_declaration_order(self):
         want = [{f"s{i}": str((2999 - i) % 2) for i in range(3000)}]
@@ -344,12 +382,12 @@ class TestForwardChecking:
             b = random_machine(rng, sig, n)
             size = rng.randint(2, 3 if n <= 5 else 2)
             if trial % 2:
-                a = random_sparse_algebra(rng, sig, size, rng.choice((0, 0.1, 0.5)))
+                a = random_sparse_algebra(rng, sig, size, rng.choice((0, 0.1, 0.5, 1.0)))
             else:
                 a = random_algebra(rng, sig, size)
             want = brute_force_hylo(b, a)
             space = naive_narrowed_space(b, a)
-            for budget in (1, 5, 10**6):
+            for budget in (1, 5, space - 1, space, 10**6):
                 if space > budget:
                     with pytest.raises(BudgetExceeded) as err:
                         enumerate_hylo(b, a, budget)

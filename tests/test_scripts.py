@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,3 +66,53 @@ def test_render_carpet(tmp_path):
     assert hashlib.sha256(raw).hexdigest() == (
         "50891858912a51dc22aa503f3fad92f5b49a6fd90d10c7eabeb05c2219bb302e"
     )
+
+
+def load_bench_ab():
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_ab_statistics_on_fixed_inputs():
+    summarize = load_bench_ab().summarize
+    parent, change = [10, 20, 30, 40, 50], [12, 18, 30, 41, 45]
+    assert summarize(parent, change, "higher") == {
+        "change": {"median": 30, "q1": 18, "q3": 41},
+        "change_better_pairs": 2,  # a tie counts for neither side
+        "pairs": 5,
+        "parent": {"median": 30, "q1": 20, "q3": 40},
+        "raw_change": change,
+        "raw_parent": parent,
+    }
+    assert summarize(parent, change, "lower")["change_better_pairs"] == 2
+    assert summarize([1.23456], [0.5], "lower")["parent"] == {"median": 1.2346, "q1": 1.2346, "q3": 1.2346}
+    with pytest.raises(ValueError):
+        summarize([1.0, 2.0], [1.0], "lower")
+
+
+def test_bench_ab_reproduces_a_checked_in_file():
+    # the statistics of an earlier paired run, recomputed from its raw values
+    summarize = load_bench_ab().summarize
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    doc = json.loads((ROOT / "BENCH_21.json").read_text())
+    for workload in doc["workloads"].values():
+        for name, metric in workload["metrics"].items():
+            assert summarize(metric["raw_parent"], metric["raw_change"], better[name]) == metric
+
+
+def test_bench_ab_reads_each_workloads_result_line():
+    stdout = (
+        "# relfix benchmark: workload sweep, seed 3, python 3.11.7, nproc 2\n"
+        "# 10 operations attempted, 0 failed\n"
+        "ops_per_s          100 1/s\n"
+        '{"correct": true, "attempted": 10, "failed": 0, "metrics": {"ops_per_s": {"value": 100, "unit": "1/s"}}}\n'
+        "# relfix benchmark: workload cli, seed 3, python 3.11.7, nproc 2\n"
+        '{"correct": false, "attempted": 4, "failed": 1, "metrics": {}}\n'
+        '{"correct": true, "attempted": 0, "failed": 0, "metrics": {}}\n'
+    )
+    got = load_bench_ab().parse_results(stdout)
+    assert list(got) == ["sweep", "cli"]
+    assert got["sweep"]["metrics"]["ops_per_s"]["value"] == 100
+    assert got["cli"] == {"correct": False, "attempted": 4, "failed": 1, "metrics": {}}
