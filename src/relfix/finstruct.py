@@ -199,9 +199,9 @@ def enumerate_hylo(
                     break
                 if out in unmet and row_op == op and all(map(set.__contains__, sets, row)):
                     unmet.discard(out)
-        # never all of them: the pools are non-empty and only shrink, so the
-        # image is non-empty and within x's list, its image over larger pools;
-        # only the single-state filter and the search find that none solves
+        # unmet never holds every candidate: the pools are non-empty and only
+        # shrink, so the image is non-empty and within x's list; only the
+        # single-state filter and the search find that no solution exists
         if unmet:
             candidates[x] = [c for c in candidates[x] if c not in unmet]
             work.extend(users[x])

@@ -45,8 +45,8 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """An object's members, refusing a key given twice, which `json` would
-    otherwise let the last one win."""
+    """An object's members as a dict; a key given twice is refused, where
+    `json` alone would keep the last."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         seen: set[str] = set()

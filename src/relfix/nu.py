@@ -155,8 +155,9 @@ def count_coalg_homs_to_nu(
 
     Counted through the solution enumeration, then cross-checked: the machine
     unfolded from each state, labeled by each solution, must be guided at
-    depths 0..CHECK_DEPTH, and distinct solutions must stay distinct.  Any failed check raises
-    BijectionViolation; a value outside the carrier raises ValueError.
+    depths 0..CHECK_DEPTH, and distinct solutions must stay distinct.  Any
+    failed check raises BijectionViolation; a value outside the carrier
+    raises ValueError.
     """
     solutions = enumerate_hylo(coalg, alg, budget)
     steps = {x: (step,) for x, step in coalg.step.items()}  # one expansion each
