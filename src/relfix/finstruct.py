@@ -323,11 +323,17 @@ def _saturating_pow(base: int, exp: int, cap: int) -> int:
 def count_algebras(sig: Signature, max_size: int, budget: int = DEFAULT_BUDGET) -> int:
     """How many algebras `all_algebras` yields on the carrier sizes
     1..max_size: size s has s^(sum of s^arity) of them.  Refuses as soon as
-    the running count passes `budget`; `required` is that count, or
-    budget + 1 when the power that passed it was not evaluated."""
+    the running count passes `budget`, or a size's row keys would hold more
+    than `budget` cells, s^arity * max(arity, 1) per symbol, before any key
+    is built; `required` is that count, or budget + 1 when the power that
+    passed it was not evaluated."""
     total = 0
     for size in range(1, max_size + 1):
-        rows = sum(_saturating_pow(size, arity, budget) for _, arity in sig.symbols)
+        counts = [_saturating_pow(size, arity, budget) for _, arity in sig.symbols]
+        cells = sum([count * max(arity, 1) for count, (_, arity) in zip(counts, sig.symbols)])
+        if cells > budget:
+            raise BudgetExceeded(cells if max(counts) <= budget else budget + 1, budget)
+        rows = sum(counts)
         tables = _saturating_pow(size, rows, budget)
         total += tables
         if total > budget:

@@ -26,6 +26,9 @@ RES_LIMIT = 4096
 # largest res * depth: a render takes that many base-3 digit steps, and the
 # most that one membership coordinate may take
 STEP_LIMIT = 2**21
+# largest digit steps * denominator bits of one membership coordinate: each
+# step divides by the denominator, so a long one slows every step
+BIT_STEP_LIMIT = STEP_LIMIT * 64
 
 Coord = Union[Fraction, int, float, str]
 
@@ -120,6 +123,12 @@ def carpet_member(x: Coord, y: Coord, depth: int) -> bool:
         steps = k if k < depth and 3**k == v.denominator else depth
         if steps > STEP_LIMIT:
             raise BoundExceeded(f"{name} needs {steps} digit steps, over the bound {STEP_LIMIT}")
+        bits = v.denominator.bit_length()
+        if steps * bits > BIT_STEP_LIMIT:
+            raise BoundExceeded(
+                f"{name} needs {steps} digit steps on a {bits}-bit denominator, "
+                f"{steps * bits} bit-steps over the bound {BIT_STEP_LIMIT}"
+            )
     return _middle_levels(fx, depth) & _middle_levels(fy, depth) == 0
 
 

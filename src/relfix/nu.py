@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import inf
 
 from .errors import DEFAULT_BUDGET, BijectionViolation, BoundExceeded, BudgetExceeded
 from .finstruct import FinAlgebra, FinCoalgebra, _saturating_pow, enumerate_hylo
@@ -76,40 +75,6 @@ def is_a_guided(alg: FinAlgebra, prefix: TreePrefix) -> bool:
     return True
 
 
-def _build_prefixes(root, depth: int, label_of, expansions, budget) -> list[TreePrefix]:
-    """Every prefix `depth` deep from the key `root`: a shallower key expands in
-    each way `expansions[key]` lists as (op, child keys), children combined
-    lexicographically.  Levels are sized from the cutoff up first, so more than
-    `budget` nodes are refused with nothing built (an infinite budget skips it).
-    Both the shared nodes built and the nodes the prefixes print as trees
-    count.  Listed keys count against the budget too: when every key expands
-    some way, each one is at least one node.  Listing stops at the first empty
-    level."""
-    levels, listed = [[root]], 1
-    while len(levels) <= depth and levels[-1]:
-        levels.append(list(dict.fromkeys(
-            [y for key in levels[-1] for _, args in expansions[key] for y in args]
-        )))
-        listed += len(levels[-1])
-        if listed > budget:
-            raise BudgetExceeded(budget + 1, budget)
-    cutoff = levels.pop()
-    # per key: (prefixes, nodes printed over all of them), capped at budget + 1
-    sizes, total = dict.fromkeys(cutoff, (1, 1)), len(cutoff)
-    for keys in reversed(levels if budget < inf else ()):
-        if total > budget:
-            break
-        sizes = {key: _expansion_sizes(expansions[key], sizes, budget + 1) for key in keys}
-        total += sum(count for count, _ in sizes.values())
-    if total > budget or (budget < inf and sizes[root][1] > budget):
-        raise BudgetExceeded(budget + 1, budget)
-    below = {key: [TreePrefix(label_of(key))] for key in cutoff}
-    for keys in reversed(levels):
-        below = {key: [TreePrefix(label_of(key), op, kids) for op, args in expansions[key]
-                       for kids in product(*map(below.__getitem__, args))] for key in keys}
-    return below[root]
-
-
 def _expansion_sizes(ways, sizes, cap: int) -> tuple[int, int]:
     """Prefixes and printed nodes over every expansion in `ways`, each capped
     at `cap`: a combination of children with (count c_i, nodes n_i) gives
@@ -132,8 +97,11 @@ def enum_nu_prefixes(
 
     A node at the cutoff depth stays a leaf; every shallower node is expanded
     in every way its fiber allows.  Output order follows fiber order and then
-    child combinations lexicographically.  The budget also bounds the argument
-    tuples that tabulating the fibers visits."""
+    child combinations lexicographically.  Levels are sized from the cutoff
+    up first, so more than `budget` nodes, built shared or printed as trees,
+    are refused with nothing built.  Listed labels count too (each one that
+    expands is a node), and listing stops at the first empty level.  The
+    budget also bounds the argument cells that tabulating the fibers visits."""
     if root not in alg.carrier:
         raise ValueError(f"root {root!r} is not a carrier element")
     if depth < 0:
@@ -142,10 +110,44 @@ def enum_nu_prefixes(
     # that, budget + 1, and the power is never evaluated
     cap = max(budget, 1 << 64)
     counts = [_saturating_pow(len(alg.carrier), arity, cap) for _, arity in alg.sig.symbols]
-    tuples = sum(counts)
-    if tuples > budget:
-        raise BudgetExceeded(tuples if max(counts) <= cap else budget + 1, budget)
-    return _build_prefixes(root, depth, str, tree_fibers(alg), budget)  # labels are keys
+    # each tuple costs its arity in cells, and a nullary one still one lookup
+    cells = sum([count * max(arity, 1) for count, (_, arity) in zip(counts, alg.sig.symbols)])
+    if cells > budget:
+        raise BudgetExceeded(cells if max(counts) <= cap else budget + 1, budget)
+    fibers = tree_fibers(alg)
+    levels, listed = [[root]], 1
+    while len(levels) <= depth and levels[-1]:
+        levels.append(list(dict.fromkeys(
+            [y for x in levels[-1] for _, args in fibers[x] for y in args]
+        )))
+        listed += len(levels[-1])
+        if listed > budget:
+            raise BudgetExceeded(budget + 1, budget)
+    cutoff = levels.pop()
+    # per label: (prefixes, nodes printed over all of them), capped at budget + 1
+    sizes, total = dict.fromkeys(cutoff, (1, 1)), len(cutoff)
+    for labels in reversed(levels):
+        if total > budget:
+            break
+        sizes = {x: _expansion_sizes(fibers[x], sizes, budget + 1) for x in labels}
+        total += sum(count for count, _ in sizes.values())
+    if total > budget or sizes[root][1] > budget:
+        raise BudgetExceeded(budget + 1, budget)
+    below = {x: [TreePrefix(x)] for x in cutoff}
+    for labels in reversed(levels):
+        below = {x: [TreePrefix(x, op, kids) for op, args in fibers[x]
+                     for kids in product(*map(below.__getitem__, args))] for x in labels}
+    return below[root]
+
+
+def _unfold(coalg: FinCoalgebra, f: dict[str, str], depth: int) -> dict[str, TreePrefix]:
+    """Each state's machine unfolded `depth` deep, nodes labeled by `f`: one
+    node per state per level, shared by the next level's nodes."""
+    trees = {x: TreePrefix(f[x]) for x in coalg.states}
+    for _ in range(depth):
+        trees = {x: TreePrefix(f[x], op, tuple(map(trees.__getitem__, args)))
+                 for x, (op, args) in coalg.step.items()}
+    return trees
 
 
 def count_coalg_homs_to_nu(
@@ -155,12 +157,11 @@ def count_coalg_homs_to_nu(
 
     Counted through the solution enumeration, then cross-checked: the machine
     unfolded from each state, labeled by each solution, must be guided at
-    depths 0..CHECK_DEPTH, and distinct solutions must stay distinct.  Any
-    failed check raises BijectionViolation; a value outside the carrier
-    raises ValueError.
+    depths 0 and CHECK_DEPTH (whose top holds every depth between), and
+    distinct solutions must stay distinct.  Any failed check raises
+    BijectionViolation; a value outside the carrier raises ValueError.
     """
     solutions = enumerate_hylo(coalg, alg, budget)
-    steps = {x: (step,) for x, step in coalg.step.items()}  # one expansion each
     seen: set[tuple[str, ...]] = set()  # each solution's values in state order
     for f in solutions:
         values = tuple([f[x] for x in coalg.states])
@@ -168,9 +169,8 @@ def count_coalg_homs_to_nu(
             raise BijectionViolation("duplicate solution in enumeration")
         seen.add(values)
         # depth 0 first: its leaves check every value against the carrier
-        for d in range(CHECK_DEPTH + 1):
-            for x in coalg.states:
-                tree = _build_prefixes(x, d, f.__getitem__, steps, inf)[0]
+        for d in (0, CHECK_DEPTH):
+            for tree in _unfold(coalg, f, d).values():
                 if not is_a_guided(alg, tree):
                     raise BijectionViolation("unfolding left the guided trees")
     return len(solutions)

@@ -412,7 +412,7 @@ def test_wide_symbol_fibers_are_refused_by_the_budget(tmp_path):
     proc = run_process("nu-enum", f, "--root", "1", "--depth", "1", "--budget", "10", timeout=10)
     assert time.perf_counter() - start < 2
     assert proc.returncode == 1
-    assert proc.stderr == f"error: enumeration of size {1 + 2**30} exceeds budget 10\n"
+    assert proc.stderr == f"error: enumeration of size {1 + 30 * 2**30} exceeds budget 10\n"
 
 
 def test_nu_enum_budget_counts_printed_nodes(tmp_path):
@@ -539,6 +539,48 @@ def test_recursive_counts_algebras_before_building_one(tmp_path):
     assert time.perf_counter() - start < 5
     assert proc.returncode == 1
     assert proc.stderr == "error: enumeration of size 1000001 exceeds budget 1000000\n"
+
+
+def wide_unused_symbol(tmp_path, kind):
+    """A file over c/0 and an unused p/10^8: the machine q = c, or the
+    algebra on {0} with c() = 0 and default 0."""
+    sig = ('"signature": {"symbols": [{"name": "c", "arity": 0}, '
+           '{"name": "p", "arity": 100000000}]}')
+    f = tmp_path / f"{kind}.json"
+    if kind == "coalgebra":
+        f.write_text(f'{{"format": 1, "kind": "coalgebra", {sig}, "states": ["q"], '
+                     '"step": {"q": {"op": "c", "args": []}}}\n')
+    else:
+        f.write_text(f'{{"format": 1, "kind": "algebra", {sig}, "carrier": ["0"], '
+                     '"default": "0", "table": [{"op": "c", "args": [], "out": "0"}]}\n')
+    return f
+
+
+@pytest.mark.parametrize("kind, argv", [
+    # one algebra on one element, but building its p-row key takes 10^8 cells
+    ("coalgebra", ("recursive", "{}", "--max-carrier", "1")),
+    # one argument tuple for p, but it is 10^8 wide
+    ("algebra", ("nu-enum", "{}", "--root", "0", "--depth", "1")),
+], ids=["recursive", "nu-enum"])
+def test_unused_wide_symbol_is_refused_by_its_cells(tmp_path, kind, argv):
+    f = wide_unused_symbol(tmp_path, kind)
+    start = time.perf_counter()
+    proc = run_process(*(f if a == "{}" else a for a in argv), timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr == "error: enumeration of size 100000001 exceeds budget 1000000\n"
+
+
+def test_carpet_member_refuses_a_long_scan_over_a_huge_denominator():
+    # 2*10^6 steps pass the step bound, but each divides a 6.6-million-bit number
+    start = time.perf_counter()
+    proc = run_process("carpet-member", "1e-2000000", "0.5", "--depth", "2000000", timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: x needs 2000000 digit steps on a 6643857-bit denominator, "
+        "13287714000000 bit-steps over the bound 134217728\n"
+    )
 
 
 def test_carpet_member_digit_scan_is_bounded():

@@ -501,10 +501,15 @@ class TestGenerators:
 
     def test_wide_symbol_count_is_never_evaluated(self):
         sig = Signature((("c", 0), ("p", 10**9)))
-        assert count_algebras(sig, 1) == 1
+        # one algebra on one element, but its p-row key holds 10^9 cells
         with pytest.raises(BudgetExceeded) as err:
-            count_algebras(sig, 2)
-        assert err.value.required == 10**6 + 1
+            count_algebras(sig, 1)
+        assert err.value.required == 1 + 10**9
+        assert count_algebras(sig, 1, budget=1 + 10**9) == 1
+        # 2^(10^9) rows are refused from the saturated power
+        with pytest.raises(BudgetExceeded) as err:
+            count_algebras(sig, 2, budget=1 + 10**9)
+        assert err.value.required == 2 + 10**9
 
     def test_deterministic_order(self):
         first = [a.table for a in all_algebras(cases.UNARY, 2)]

@@ -8,6 +8,7 @@ import pytest
 
 from relfix.errors import BoundExceeded, DepthLimit
 from relfix.fractal import (
+    BIT_STEP_LIMIT,
     KEEP,
     RES_LIMIT,
     STEP_LIMIT,
@@ -143,6 +144,21 @@ class TestMembership:
         # a small exponent still parses and answers
         assert carpet_member("1e-1000", "0.5", 8) is True
         assert carpet_member("1e-1000", "1e-1000", 3000) is False
+
+    def test_digit_steps_times_denominator_bits_are_bounded(self):
+        # 10^1000 has 3322 bits: 40,402 steps fit, 40,403 do not
+        assert BIT_STEP_LIMIT // 3322 == 40402
+        # x = 0 sits on a cut, so y's scan alone decides nothing
+        assert carpet_member(0, "1e-1000", 40402) is True
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded, match=(
+            f"y needs 40403 digit steps on a 3322-bit denominator, "
+            f"{40403 * 3322} bit-steps over the bound {BIT_STEP_LIMIT}"
+        )):
+            carpet_member("0.5", "1e-1000", 40403)
+        with pytest.raises(BoundExceeded, match="x needs 2000000 digit steps on a 6643857-bit"):
+            carpet_member("1e-2000000", "0.5", 2_000_000)
+        assert time.perf_counter() - start < 2
 
 
 class TestRender:

@@ -1,7 +1,6 @@
 """Guided prefixes, rational trees, and next-time fixed points."""
 import random
 from itertools import product
-from math import inf
 
 import pytest
 
@@ -34,8 +33,7 @@ def leaf(label):
 def unfold(machine, labeling, start, depth) -> TreePrefix:
     """The machine unfolded `depth` deep from `start`, nodes labeled by
     `labeling`: the tree `count_coalg_homs_to_nu` checks."""
-    steps = {x: (step,) for x, step in machine.step.items()}
-    return nu._build_prefixes(start, depth, labeling.__getitem__, steps, inf)[0]
+    return nu._unfold(machine, labeling, depth)[start]
 
 
 def printed_nodes(prefix: TreePrefix) -> int:
@@ -158,15 +156,19 @@ class TestEnumPrefixes:
         assert len(built) == 2 + 4 + 8 + 8
 
     def test_fiber_tuples_count_against_the_budget(self):
-        # tabulating p would visit 2^30 argument tuples before any node
+        # tabulating p would visit 2^30 argument tuples of 30 cells each
+        # before any node; the nullary c counts one cell
         alg = FinAlgebra(Signature((("c", 0), ("p", 30))), ("0", "1"), {("c", ()): "1"}, "0")
         with pytest.raises(BudgetExceeded) as err:
             enum_nu_prefixes(alg, "1", 1, budget=10)
-        assert err.value.required == 1 + 2**30
-        # a budget of exactly the tuple count is enough: 3 + 9 for the wide
-        # tree algebra's signature, 2 + 2 for the flip algebra
+        assert err.value.required == 1 + 30 * 2**30
+        # a budget of exactly the cell count is enough: 3 * 1 + 9 * 2 for
+        # the wide tree algebra's signature, 2 + 2 for the flip algebra
         tree = FinAlgebra(Signature((("g", 1), ("f", 2))), ("0", "1", "2"), {}, "0")
-        assert enum_nu_prefixes(tree, "0", 0, budget=12) == [leaf("0")]
+        assert enum_nu_prefixes(tree, "0", 0, budget=21) == [leaf("0")]
+        with pytest.raises(BudgetExceeded) as err:
+            enum_nu_prefixes(tree, "0", 0, budget=20)
+        assert err.value.required == 21
         assert enum_nu_prefixes(cases.flip_algebra(), "0", 0, budget=4) == [leaf("0")]
         with pytest.raises(BudgetExceeded) as err:
             enum_nu_prefixes(cases.flip_algebra(), "0", 0, budget=3)
@@ -224,6 +226,26 @@ class TestCoextension:
     def test_constant_stream(self):
         tree = unfold(cases.cross_loop(), {"q": "1"}, "q", 2)
         assert tree == TreePrefix("1", "cross", (TreePrefix("1", "cross", (leaf("1"),)),))
+
+    def test_unfoldings_are_the_guided_prefixes_they_truncate_to(self):
+        # the two constructions of the greatest solution agree: each state's
+        # deepest checked unfolding cut to depth d is its depth-d unfolding,
+        # and up to depth 3 that is one of the guided prefixes from its label
+        rng, checked = random.Random(7), 0
+        for _ in range(40):
+            sig = rng.choice((cases.UNARY, cases.BINARY, cases.CS))
+            machine = random_machine(rng, sig, rng.randint(1, 4))
+            alg = random_algebra(rng, sig, rng.randint(1, 2))
+            for f in enumerate_hylo(machine, alg):
+                deepest = nu._unfold(machine, f, nu.CHECK_DEPTH)
+                for d in range(nu.CHECK_DEPTH + 1):
+                    level = nu._unfold(machine, f, d)
+                    for x in machine.states:
+                        assert truncate(deepest[x], d, TreePrefix) == level[x]
+                        if d <= 3:
+                            assert level[x] in enum_nu_prefixes(alg, f[x], d)
+                            checked += 1
+        assert checked > 200
 
     def test_unfold_deeper_than_the_recursion_limit(self):
         node, depth = unfold(cases.cross_loop(), {"q": "1"}, "q", 5000), 0
