@@ -11,7 +11,10 @@ the change read better, by the direction `BENCHMARK.json` gives the metric.
         --seconds 20 --out BENCH_22.json
 
 Nothing under `bench/` is read from the working tree: each side runs the
-benchmark of its own revision.
+benchmark of its own revision.  With `--tier1`, each pair also runs each
+side's tier-1 tests, in the same order, and the file gains a `tier1` key:
+the wall time pytest reports and each acceptance criterion's time, read
+from the `criterion N/9 ...: PASS (x s)` lines that `-rP` prints.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -28,6 +32,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEADER = "# relfix benchmark: workload "
+TIER1 = ["-m", "pytest", "-q", "-rP", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+CRITERION = re.compile(r"criterion (\d+)/\d+ .*: PASS \((\d+(?:\.\d+)?)s\)")
+# pytest's last line, e.g. "1 failed, 469 passed in 150.20s (0:02:30)"
+TIER1_SUMMARY = re.compile(r"=* ?(\d+ \w+(?:, \d+ \w+)*) in (\d+(?:\.\d+)?)s(?: \([\d:]+\))?(?: =*)?")
 
 
 def summarize(raw_parent: list[float], raw_change: list[float], better: str) -> dict:
@@ -66,6 +74,21 @@ def parse_results(stdout: str) -> dict[str, dict]:
     return out
 
 
+def parse_tier1(stdout: str) -> dict:
+    """The outcome counts and seconds of a tier-1 run's summary line, and
+    each acceptance criterion's seconds keyed by its number."""
+    criteria, counts, seconds = {}, None, None
+    for line in stdout.splitlines():
+        if match := CRITERION.fullmatch(line):
+            criteria[match[1]] = float(match[2])
+        elif match := TIER1_SUMMARY.fullmatch(line):
+            counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", match[1])}
+            seconds = float(match[2])
+    if counts is None:
+        raise ValueError("no pytest summary line in the tier-1 output")
+    return {"counts": counts, "criteria": criteria, "seconds": seconds}
+
+
 def export(rev: str, dest: str) -> str:
     """The committed files of `rev`, unpacked into `dest`; returns the full hash."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
@@ -88,6 +111,26 @@ def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict[str, d
     return results
 
 
+def tier1_summary(tier1: dict[str, list[dict]]) -> dict:
+    """Paired statistics of the tier-1 seconds and of each criterion that
+    every run on both sides reported, plus each run's outcome counts."""
+    runs = tier1["parent"] + tier1["change"]
+    numbers = sorted(set.intersection(*[set(run["criteria"]) for run in runs]), key=int)
+    return {
+        "command": f"PYTHONPATH=src python {' '.join(TIER1)}",
+        "counts": {side: [run["counts"] for run in tier1[side]] for side in tier1},
+        "criteria": {n: summarize(*[[run["criteria"][n] for run in tier1[side]] for side in ("parent", "change")],
+                                  "lower") for n in numbers},
+        "seconds": summarize(*[[run["seconds"] for run in tier1[side]] for side in ("parent", "change")], "lower"),
+    }
+
+
+def run_tier1(tree: str) -> dict:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
+    return parse_tier1(proc.stdout)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the base revision")
@@ -97,6 +140,8 @@ def main() -> int:
     parser.add_argument("--workload", default="all")
     parser.add_argument("--note", default="", help="what the change does, for the file's `change` key")
     parser.add_argument("--out", help="write the JSON here instead of to stdout")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also time each side's tier-1 tests once per pair")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -108,9 +153,12 @@ def main() -> int:
             better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
         seeds = list(range(1, args.pairs + 1))
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        tier1: dict[str, list[dict]] = {"parent": [], "change": []}
         for seed in seeds:
             for side in ("parent", "change") if seed % 2 else ("change", "parent"):
                 runs[side].append(run_side(trees[side], args.workload, seed, args.seconds))
+                if args.tier1:
+                    tier1[side].append(run_tier1(trees[side]))
                 print(f"seed {seed}: {side} done", file=sys.stderr)
 
     workloads = {}
@@ -138,6 +186,8 @@ def main() -> int:
                       "run's value in seed order",
         "workloads": workloads,
     }
+    if args.tier1:
+        doc["tier1"] = tier1_summary(tier1)
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

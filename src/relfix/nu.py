@@ -57,11 +57,17 @@ def tree_fibers(alg: FinAlgebra) -> dict[str, list[tuple[str, tuple[str, ...]]]]
 
 
 def is_a_guided(alg: FinAlgebra, prefix: TreePrefix) -> bool:
-    """Does every expanded node satisfy a(op)(child labels) = own label?"""
+    """Does every expanded node satisfy a(op)(child labels) = own label?
+
+    A node shared by several parents (as `_unfold` builds them) is checked
+    once, where the walk first reaches it."""
     carrier = set(alg.carrier)
-    stack = [prefix]
+    stack, seen = [prefix], set()
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if node.label not in carrier:
             raise ValueError(f"label {node.label!r} is not a carrier element")
         if node.is_leaf:

@@ -7,6 +7,7 @@ import pytest
 
 from relfix.errors import ArityMismatch, BudgetExceeded, SignatureMismatch
 from relfix.finstruct import (
+    SEARCH_ORDER_SPACE,
     FinAlgebra,
     FinCoalgebra,
     all_algebras,
@@ -396,6 +397,74 @@ class TestForwardChecking:
                     got = enumerate_hylo(b, a, budget)
                     assert got == want
                     assert all(list(f) == list(b.states) for f in got)
+
+
+class TestSearchOrder:
+    """Past SEARCH_ORDER_SPACE narrowed assignments the search takes the
+    most-mentioned states first.  The solutions must still come out in
+    (state order, carrier order), each keyed in state order."""
+
+    SIG = Signature((("g", 1), ("f", 2)))
+
+    @staticmethod
+    def mentions(b):
+        count = dict.fromkeys(b.states, 0)
+        for _, args in b.step.values():
+            for y in args:
+                count[y] += 1
+        return count
+
+    def hub_machine(self, rng, n):
+        """A random machine whose last-declared state is mentioned strictly
+        most: each argument is that state with probability one half."""
+        states = tuple(f"x{i}" for i in range(n))
+        while True:
+            step = {}
+            for x in states:
+                op, arity = rng.choice(self.SIG.symbols)
+                step[x] = (op, tuple(states[-1] if rng.random() < 0.5 else rng.choice(states)
+                                     for _ in range(arity)))
+            b = FinCoalgebra(self.SIG, states, step)
+            count = self.mentions(b)
+            if all(count[states[-1]] > count[x] for x in states[:-1]):
+                return b
+
+    def near_projection(self, rng, size, p):
+        """Each row outputs its first argument with probability p, so that
+        squares have several solutions; otherwise a random element."""
+        carrier = tuple(str(i) for i in range(size))
+        table = {(op, args): args[0] if rng.random() < p else rng.choice(carrier)
+                 for op, arity in self.SIG.symbols for args in product(carrier, repeat=arity)}
+        return FinAlgebra(self.SIG, carrier, table)
+
+    def test_hub_declared_last_matches_brute_force_in_order(self):
+        rng, checked, several = random.Random(5), 0, 0
+        while checked < 40:
+            n = rng.randint(6, 9)
+            b = self.hub_machine(rng, n)
+            a = self.near_projection(rng, 3 if n <= 7 else 2, rng.choice((0.5, 0.8, 1.0)))
+            if naive_narrowed_space(b, a) <= SEARCH_ORDER_SPACE:
+                continue
+            got = enumerate_hylo(b, a)
+            assert got == brute_force_hylo(b, a)
+            assert all(list(f) == list(b.states) for f in got)
+            checked += 1
+            several += len(got) > 1
+        assert several >= 20
+
+    def test_solutions_are_sorted_back_into_declaration_order(self):
+        # h is declared last and searched first; each x = f(h, h) = h + 1
+        # mod 3, so the search finds h = 0, 1, 2 while x0 reads 1, 2, 0
+        carrier = ("0", "1", "2")
+        table = {("g", (c,)): c for c in carrier}
+        table.update({("f", (c, d)): str((int(c) + 1) % 3) for c in carrier for d in carrier})
+        a = FinAlgebra(self.SIG, carrier, table)
+        xs = [f"x{i}" for i in range(5)]
+        b = FinCoalgebra(self.SIG, (*xs, "h"), {**{x: ("f", ("h", "h")) for x in xs}, "h": ("g", ("h",))})
+        assert len(carrier) ** len(b.states) > SEARCH_ORDER_SPACE
+        got = enumerate_hylo(b, a)
+        assert got == [{**dict.fromkeys(xs, str(v)), "h": str((v - 1) % 3)} for v in range(3)]
+        assert all(list(f) == list(b.states) for f in got)
 
 
 class TestWellFounded:

@@ -5,7 +5,9 @@ mutations (drop a key, give a value another JSON type, rename a symbol,
 state or label, change a number), and runs it through every subcommand that
 reads that kind of file, in-process.  Replacement numbers include wide
 arities, and a file may first gain an unused symbol of arity 10^8; every
-subcommand must refuse or answer within 2 s.
+subcommand must refuse or answer within 2 s.  Half the examples instead
+take only mutations that keep the file loadable, so that the commands get
+past loading and run their kernels.
 """
 from __future__ import annotations
 
@@ -107,17 +109,45 @@ def _mutate(doc, data) -> None:
         node[key] = data.draw(OTHER_VALUES.filter(lambda v: type(v) is not type(value)))
 
 
+def _reshape(doc, data) -> None:
+    """A mutation that keeps the file loadable: an algebra changes one table
+    output, gains a `default` or, when it has one, drops one row; a machine
+    or transition system changes one successor.  A prefix takes a
+    `_mutate`."""
+    kind = doc.get("kind")
+    if kind == "algebra":
+        how = data.draw(st.sampled_from(
+            ["output", "default"] + (["drop"] if "default" in doc and doc["table"] else [])
+        ))
+        if how == "output" and doc["table"]:
+            row = data.draw(st.sampled_from(doc["table"]))
+            row["out"] = data.draw(st.sampled_from(doc["carrier"]))
+        elif how == "drop":
+            del doc["table"][data.draw(st.integers(0, len(doc["table"]) - 1))]
+        else:
+            doc["default"] = data.draw(st.sampled_from(doc["carrier"]))
+    elif kind in ("coalgebra", "transition-system"):
+        succs = [step["args"] for step in doc["step"].values()] if kind == "coalgebra" else doc["delta"].values()
+        args, i = data.draw(st.sampled_from([(args, i) for args in succs for i in range(len(args))]))
+        args[i] = data.draw(st.sampled_from(doc["states"]))
+    else:
+        _mutate(doc, data)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_mutated_sample_files_end_in_a_documented_exit(tmp_path_factory, data):
     name = data.draw(st.sampled_from(sorted(COMMANDS)))
     doc = json.loads(json.dumps(SAMPLES[name]))
     mutations = data.draw(st.integers(1, 3))
-    if data.draw(st.booleans()):  # as one of the mutations
+    # a widened file no longer shares its signature with the sample it is
+    # paired with, so only the malformed half widens
+    mutate = _reshape if data.draw(st.booleans()) else _mutate
+    if mutate is _mutate and data.draw(st.booleans()):  # as one of the mutations
         _widen(doc)
         mutations -= 1
     for _ in range(mutations):
-        _mutate(doc, data)
+        mutate(doc, data)
     path = tmp_path_factory.mktemp("fuzz") / name
     path.write_text(json.dumps(doc))
     for argv in COMMANDS[name]:

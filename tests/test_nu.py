@@ -1,5 +1,6 @@
 """Guided prefixes, rational trees, and next-time fixed points."""
 import random
+import time
 from itertools import product
 
 import pytest
@@ -61,6 +62,25 @@ class TestGuided:
     def test_wrong_child_count_rejected(self):
         with pytest.raises(ValueError):
             is_a_guided(cases.flip_algebra(), TreePrefix("1", "chk", (leaf("0"), leaf("0"))))
+
+    def test_shared_nodes_are_checked_once(self):
+        # each state steps to both: depth 30 builds 31 nodes per state, but
+        # prints 2^31 - 1 below each root
+        machine = FinCoalgebra(cases.BINARY, ("p", "q"),
+                               {"p": ("cross", ("p", "q")), "q": ("chk", ("q", "p"))})
+        alg = meet_algebra(cases.BINARY)
+        start = time.perf_counter()
+        for tree in nu._unfold(machine, {"p": "1", "q": "1"}, 30).values():
+            assert is_a_guided(alg, tree) is True
+        assert time.perf_counter() - start < 2
+
+    def test_a_shared_node_still_fails_or_raises(self):
+        alg = meet_algebra(cases.BINARY)
+        bad = TreePrefix("1", "cross", (leaf("0"), leaf("1")))
+        assert is_a_guided(alg, TreePrefix("1", "chk", (bad, bad))) is False
+        stray = leaf("7")
+        with pytest.raises(ValueError):
+            is_a_guided(alg, TreePrefix("0", "chk", (stray, stray)))
 
 
 class TestEnumPrefixes:

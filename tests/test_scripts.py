@@ -116,3 +116,35 @@ def test_bench_ab_reads_each_workloads_result_line():
     assert list(got) == ["sweep", "cli"]
     assert got["sweep"]["metrics"]["ops_per_s"]["value"] == 100
     assert got["cli"] == {"correct": False, "attempted": 4, "failed": 1, "metrics": {}}
+
+
+def test_bench_ab_reads_tier1_times():
+    stdout = (
+        "........................................................................ [ 15%]\n"
+        "==================================== PASSES ====================================\n"
+        "_____________________ test_criterion_8_cartesian_classification _____________________\n"
+        "----------------------------- Captured stdout call -----------------------------\n"
+        "criterion 8/9 cartesian classification: PASS (36.6s)\n"
+        "criterion 9/9 carpet approximants: PASS (0s)\n"
+        "criterion 1/9 galois connection: PASS (0.0s)\n"
+        "not a criterion 2/9 line: PASS (1.0s)\n"
+        "1 failed, 469 passed, 2 warnings in 150.20s (0:02:30)\n"
+    )
+    got = load_bench_ab().parse_tier1(stdout)
+    assert got == {"counts": {"failed": 1, "passed": 469, "warnings": 2},
+                   "criteria": {"8": 36.6, "9": 0.0, "1": 0.0}, "seconds": 150.2}
+    assert load_bench_ab().parse_tier1("= 470 passed in 47.59s =\n")["seconds"] == 47.59
+    with pytest.raises(ValueError):
+        load_bench_ab().parse_tier1("criterion 8/9 cartesian classification: PASS (36.6s)\n")
+
+
+def test_bench_ab_summarizes_tier1_runs_by_pair():
+    bench_ab = load_bench_ab()
+    run = lambda seconds, c8: {"counts": {"passed": 470}, "criteria": {"8": c8, "9": 0.4}, "seconds": seconds}
+    tier1 = {"parent": [run(50.0, 37.0), run(52.0, 38.0)], "change": [run(49.0, 36.0), run(53.0, 37.5)]}
+    tier1["change"][1]["criteria"].pop("9")  # a criterion missing from one run is left out
+    got = bench_ab.tier1_summary(tier1)
+    assert list(got["criteria"]) == ["8"]
+    assert got["criteria"]["8"] == bench_ab.summarize([37.0, 38.0], [36.0, 37.5], "lower")
+    assert got["seconds"]["change_better_pairs"] == 1
+    assert got["counts"]["change"] == [{"passed": 470}] * 2
