@@ -1,10 +1,11 @@
 """Command line front end.
 
-Every subcommand reads versioned JSON problem files, prints one canonical JSON
-document to stdout, and exits 0 on success, 1 when a search budget or bound is
-exceeded, 2 on malformed input (including input nested too deeply to walk)
-or an output file that cannot be written, 3 when a safety check comes back
-unsafe.
+Every subcommand reads versioned JSON problem files and returns its exit code
+and one JSON document; `main` prints that document to stdout in canonical
+form. The exit code is 0 on success, 1 when a search budget or bound is
+exceeded or a `selftest` check fails, 2 on malformed input (including input
+nested too deeply to walk) or an output file that cannot be written, 3 when a
+safety check comes back unsafe.
 """
 from __future__ import annotations
 
@@ -19,13 +20,7 @@ from .errors import DEFAULT_BUDGET, BoundExceeded, BudgetExceeded, RelfixError
 # package than the command needs.
 
 
-def _emit(obj) -> None:
-    from .jsonio import canonical_dumps
-
-    sys.stdout.write(canonical_dumps(obj))
-
-
-def _cmd_mu_eq(args) -> int:
+def _cmd_mu_eq(args) -> tuple[int, dict]:
     from .jsonio import load_coalgebra
     from .mu import mu_equal
     from .sigterm import parse_term
@@ -33,18 +28,15 @@ def _cmd_mu_eq(args) -> int:
     coalg = load_coalgebra(args.coalgebra)
     lhs = parse_term(coalg.sig, args.lhs)
     rhs = parse_term(coalg.sig, args.rhs)
-    _emit(
-        {
-            "result": "equal" if mu_equal(coalg, lhs, rhs) else "distinct",
-            "lhs": str(lhs),
-            "rhs": str(rhs),
-            "generators": [f"{x} = {op}({','.join(ys)})" for x, (op, ys) in coalg.step.items()],
-        }
-    )
-    return 0
+    return 0, {
+        "result": "equal" if mu_equal(coalg, lhs, rhs) else "distinct",
+        "lhs": str(lhs),
+        "rhs": str(rhs),
+        "generators": [f"{x} = {op}({','.join(ys)})" for x, (op, ys) in coalg.step.items()],
+    }
 
 
-def _cmd_hylo(args) -> int:
+def _cmd_hylo(args) -> tuple[int, dict]:
     from .finstruct import enumerate_hylo
     from .jsonio import load_algebra, load_coalgebra
 
@@ -53,12 +45,11 @@ def _cmd_hylo(args) -> int:
     solutions = enumerate_hylo(coalg, alg, args.budget)
     out = {"count": len(solutions)}
     if args.list:
-        out["morphisms"] = [{x: f[x] for x in coalg.states} for f in solutions]
-    _emit(out)
-    return 0
+        out["morphisms"] = solutions
+    return 0, out
 
 
-def _cmd_safety(args) -> int:
+def _cmd_safety(args) -> tuple[int, dict]:
     from .jsonio import load_transition_system
     from .lattice import safety_check
 
@@ -67,8 +58,7 @@ def _cmd_safety(args) -> int:
     if not verdict.is_safe:
         out["side"] = verdict.side
         out["witness"] = verdict.witness
-    _emit(out)
-    return 0 if verdict.is_safe else 3
+    return (0 if verdict.is_safe else 3), out
 
 
 def _parse_state_set(text: str | None, fallback) -> tuple[str, ...]:
@@ -79,7 +69,7 @@ def _parse_state_set(text: str | None, fallback) -> tuple[str, ...]:
     return tuple(dict.fromkeys(s for s in text.split(",") if s))
 
 
-def _cmd_galois(args) -> int:
+def _cmd_galois(args) -> tuple[int, dict]:
     from .jsonio import load_transition_system
     from .lattice import MonotoneOp, galois_check, mu_post, nu_pre
 
@@ -89,44 +79,37 @@ def _cmd_galois(args) -> int:
     pre_start = _parse_state_set(args.pre, ts.safe)
     least = mu_post(op, post_start)
     greatest = nu_pre(op, pre_start)
-    _emit(
-        {
-            "holds": galois_check(op, post_start, pre_start),
-            "forward": least <= frozenset(pre_start),
-            "backward": frozenset(post_start) <= greatest,
-            "mu_post": sorted(least),
-            "nu_pre": sorted(greatest),
-        }
-    )
-    return 0
+    return 0, {
+        "holds": galois_check(op, post_start, pre_start),
+        "forward": least <= frozenset(pre_start),
+        "backward": frozenset(post_start) <= greatest,
+        "mu_post": sorted(least),
+        "nu_pre": sorted(greatest),
+    }
 
 
-def _cmd_nu_enum(args) -> int:
+def _cmd_nu_enum(args) -> tuple[int, dict]:
     from .jsonio import load_algebra, prefix_to_json
     from .nu import enum_nu_prefixes
 
     alg = load_algebra(args.algebra)
     prefixes = enum_nu_prefixes(alg, args.root, args.depth, args.budget)
-    _emit(
-        {
-            "count": len(prefixes),
-            "prefixes": [prefix_to_json(p) for p in prefixes],
-        }
-    )
-    return 0
+    return 0, {
+        "count": len(prefixes),
+        "prefixes": [prefix_to_json(p) for p in prefixes],
+    }
 
 
-def _cmd_nu_check(args) -> int:
+def _cmd_nu_check(args) -> tuple[int, dict]:
     from .jsonio import load_algebra, load_prefix
     from .nu import is_a_guided
 
     alg = load_algebra(args.algebra)
     prefix = load_prefix(args.prefix)
-    _emit({"guided": is_a_guided(alg, prefix)})
-    return 0
+    return 0, {"guided": is_a_guided(alg, prefix)}
 
 
-def _cmd_cartesian(args) -> int:
+def _cmd_cartesian(args) -> tuple[int, dict]:
     from .jsonio import load_coalgebra
     from .nu import classify_cartesian
 
@@ -140,11 +123,10 @@ def _cmd_cartesian(args) -> int:
         out["classification"] = [
             {"subset": list(subset), "morphism": chi} for subset, chi in pairs
         ]
-    _emit(out)
-    return 0
+    return 0, out
 
 
-def _cmd_recursive(args) -> int:
+def _cmd_recursive(args) -> tuple[int, dict]:
     from .finstruct import all_algebras, count_algebras, enumerate_hylo
     from .jsonio import load_coalgebra
 
@@ -159,41 +141,32 @@ def _cmd_recursive(args) -> int:
         recursive = len(enumerate_hylo(coalg, alg, args.budget)) == 1
         if not recursive:
             break
-    _emit(
-        {
-            "recursive": recursive,
-            "algebras_tested": tested,
-            "max_carrier": args.max_carrier,
-        }
-    )
-    return 0
+    return 0, {
+        "recursive": recursive,
+        "algebras_tested": tested,
+        "max_carrier": args.max_carrier,
+    }
 
 
-def _cmd_sierpinski(args) -> int:
+def _cmd_sierpinski(args) -> tuple[int, dict]:
     from .fractal import write_pgm
 
     pixels = write_pgm(args.out, args.depth, args.res)
-    _emit(
-        {
-            "out": args.out,
-            "depth": args.depth,
-            "res": args.res,
-            "inside": pixels.count(0),
-        }
-    )
-    return 0
+    return 0, {
+        "out": args.out,
+        "depth": args.depth,
+        "res": args.res,
+        "inside": pixels.count(0),
+    }
 
 
-def _cmd_carpet_member(args) -> int:
+def _cmd_carpet_member(args) -> tuple[int, dict]:
     from .fractal import carpet_member
 
-    _emit(
-        {
-            "member": carpet_member(args.x, args.y, args.depth),
-            "depth": args.depth,
-        }
-    )
-    return 0
+    return 0, {
+        "member": carpet_member(args.x, args.y, args.depth),
+        "depth": args.depth,
+    }
 
 
 def _random_machine(rng: random.Random):
@@ -221,7 +194,7 @@ def _random_algebra(rng: random.Random, sig, size: int):
     return FinAlgebra(sig, carrier, table)
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> tuple[int, dict]:
     from .finstruct import enumerate_hylo, is_ca_morphism
     from .lattice import (
         MonotoneOp,
@@ -271,15 +244,12 @@ def _cmd_selftest(args) -> int:
         except RelfixError:
             record(f"cartesian[{trial}]", False)
 
-    _emit(
-        {
-            "seed": args.seed,
-            "trials": args.trials,
-            "checks": checks,
-            "failures": failures,
-        }
-    )
-    return 0 if not failures else 1
+    return (0 if not failures else 1), {
+        "seed": args.seed,
+        "trials": args.trials,
+        "checks": checks,
+        "failures": failures,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, document = args.func(args)
+        # looked up when it runs, so a patched `jsonio.canonical_dumps` is called
+        from .jsonio import canonical_dumps
+
+        sys.stdout.write(canonical_dumps(document))
+        return code
     except (BudgetExceeded, BoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

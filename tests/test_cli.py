@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -320,6 +319,19 @@ def test_selftest(capsys):
     assert body["checks"] == 35
 
 
+def test_selftest_failure_exits_1_and_prints_its_document(capsys, monkeypatch):
+    from relfix import nu
+    from relfix.errors import BijectionViolation
+
+    def violated(*_):
+        raise BijectionViolation("next-time fixed points and square solutions do not match")
+
+    monkeypatch.setattr(nu, "classify_cartesian", violated)
+    code, body = run(capsys, "selftest", "--trials", "1")
+    assert code == 1
+    assert body == {"seed": 0, "trials": 1, "checks": 7, "failures": ["cartesian[0]"]}
+
+
 # ------------------------------------------------------------- error handling
 
 
@@ -349,9 +361,7 @@ def test_missing_file(capsys, tmp_path):
 
 
 def run_process(*argv, timeout=60, **env_vars):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    ), **env_vars)
+    env = dict(cases.child_env(), **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "relfix", *map(str, argv)],
         capture_output=True, text=True, timeout=timeout, env=env,
@@ -634,6 +644,18 @@ def test_memory_error_is_an_input_error(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_too_deep_a_document_to_print_is_an_input_error(capsys, monkeypatch):
+    def too_deep(obj):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(jsonio, "canonical_dumps", too_deep)
+    code = main(["carpet-member", "1/3", "1/2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: input nests too deeply (maximum recursion depth exceeded)\n"
 
 
 def test_deep_carpet_member_is_answered():
@@ -975,9 +997,7 @@ NOT_LOADED = {
 def loaded_modules(argv, tmp_path) -> set[str]:
     """The relfix submodules a `relfix` process imports, read from the
     `-X importtime` report on its stderr."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    ))
+    env = cases.child_env()
     argv = [str(a).replace("{tmp}", str(tmp_path)) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "relfix", *argv],

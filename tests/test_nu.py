@@ -500,6 +500,13 @@ class TestClassify:
             pairs = classify_cartesian(b)
             assert len(pairs) == len(cartesian_subcoalgebras(b))
 
+    def test_a_missing_solution_is_a_bijection_violation(self, monkeypatch):
+        b = cases.cross_loop()
+        solutions = enumerate_hylo(b, meet_algebra(b.sig))
+        monkeypatch.setattr(nu, "enumerate_hylo", lambda *_: solutions[:-1])
+        with pytest.raises(BijectionViolation, match="do not match"):
+            classify_cartesian(b)
+
     def test_budget_bounds_the_meet_rows_before_they_are_built(self, monkeypatch):
         # p is declared, never used, and its all-ones row has ten cells
         sig = Signature((("c", 0), ("p", 10)))
