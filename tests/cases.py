@@ -1,8 +1,23 @@
 """Canonical small machines and algebras shared by several test modules."""
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 from relfix.finstruct import FinAlgebra, FinCoalgebra
 from relfix.sigterm import Signature
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def child_env(*extra: Path) -> dict[str, str]:
+    """This process's environment with `src/`, then `extra`, ahead of any
+    PYTHONPATH, for a child interpreter that imports relfix from this tree."""
+    paths = [str(p) for p in (ROOT / "src", *extra)]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (*paths, os.environ.get("PYTHONPATH")) if p
+    ))
+
 
 # two unary symbols: `chk` flips a binary value, `cross` keeps it
 UNARY = Signature((("cross", 1), ("chk", 1)))

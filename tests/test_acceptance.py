@@ -47,7 +47,7 @@ from relfix.sigterm import EquationSet, Signature, congruence_decide, parse_term
 
 
 def _report(label: str, t0: float) -> None:
-    print(f"criterion {label}: PASS ({time.perf_counter() - t0:.1f}s)")
+    print(f"criterion {label}: PASS ({time.perf_counter() - t0:.3f}s)")
 
 
 # Shared corpus for criteria 1-3: 500 seeded systems with at most 6 states,

@@ -1,5 +1,4 @@
 """Monotone operators, fixed-point chains, and the safety check."""
-import os
 import random
 import subprocess
 import sys
@@ -385,9 +384,7 @@ def timed_in_child(system: str, call: str, timeout: float = 10) -> tuple[float, 
         "print(time.perf_counter() - start)\n"
         "print(repr(result))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")) if p
-    ))
+    env = cases.child_env(ROOT / "tests")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=timeout, env=env, check=True)
     seconds, result = proc.stdout.splitlines()

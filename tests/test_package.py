@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import ast
-import os
 import subprocess
 import sys
 import tokenize
@@ -11,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import relfix
+from cases import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,9 +20,7 @@ SUBMODULES = ("errors", "finstruct", "fractal", "lattice", "mu", "nu", "sigterm"
 
 def run_python(code: str) -> str:
     """stdout of `python -c code` in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    ))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
     )

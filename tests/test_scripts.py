@@ -4,20 +4,19 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from cases import child_env
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(cwd, name, *argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    ))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv],
         cwd=cwd, capture_output=True, text=True, timeout=120, env=env,
@@ -127,12 +126,13 @@ def test_bench_ab_reads_tier1_times():
         "criterion 8/9 cartesian classification: PASS (36.6s)\n"
         "criterion 9/9 carpet approximants: PASS (0s)\n"
         "criterion 1/9 galois connection: PASS (0.0s)\n"
+        "criterion 2/9 fixed-point law: PASS (0.012s)\n"
         "not a criterion 2/9 line: PASS (1.0s)\n"
         "1 failed, 469 passed, 2 warnings in 150.20s (0:02:30)\n"
     )
     got = load_bench_ab().parse_tier1(stdout)
     assert got == {"counts": {"failed": 1, "passed": 469, "warnings": 2},
-                   "criteria": {"8": 36.6, "9": 0.0, "1": 0.0}, "seconds": 150.2}
+                   "criteria": {"8": 36.6, "9": 0.0, "1": 0.0, "2": 0.012}, "seconds": 150.2}
     assert load_bench_ab().parse_tier1("= 470 passed in 47.59s =\n")["seconds"] == 47.59
     with pytest.raises(ValueError):
         load_bench_ab().parse_tier1("criterion 8/9 cartesian classification: PASS (36.6s)\n")
