@@ -15,8 +15,8 @@ import pytest
 import cases
 from cases import acyclic_pq, chk_loop, empty_machine, flip_algebra, three_state_automaton
 from relfix.cli import main
-from relfix import cli, jsonio
-from relfix.errors import BudgetExceeded, SchemaError
+from relfix import cli, jsonio, nu
+from relfix.errors import BijectionViolation, BudgetExceeded, SchemaError
 from relfix.finstruct import FinAlgebra, FinCoalgebra
 from relfix.fractal import RES_LIMIT
 from relfix.lattice import TransitionSystem
@@ -320,9 +320,6 @@ def test_selftest(capsys):
 
 
 def test_selftest_failure_exits_1_and_prints_its_document(capsys, monkeypatch):
-    from relfix import nu
-    from relfix.errors import BijectionViolation
-
     def violated(*_):
         raise BijectionViolation("next-time fixed points and square solutions do not match")
 
