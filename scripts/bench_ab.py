@@ -14,7 +14,11 @@ Nothing under `bench/` is read from the working tree: each side runs the
 benchmark of its own revision.  With `--tier1`, each pair also runs each
 side's tier-1 tests, in the same order, and the file gains a `tier1` key:
 the wall time pytest reports and each acceptance criterion's time, read
-from the `criterion N/9 ...: PASS (x s)` lines that `-rP` prints.
+from the `criterion N/9 ...: PASS (x s)` lines that `-rP` prints.  Just
+before and just after each tier-1 run, a fresh process times that side's
+own `bench/run.py` calibration probe (the median of three); the mean of the
+two, `probe_s`, stands next to the times, and `probe_units` gives the
+tier-1 seconds in units of it, which a drift in the host's speed moves less.
 """
 from __future__ import annotations
 
@@ -36,6 +40,8 @@ TIER1 = ["-m", "pytest", "-q", "-rP", "-p", "no:cacheprovider", "--continue-on-c
 CRITERION = re.compile(r"criterion (\d+)/\d+ .*: PASS \((\d+(?:\.\d+)?)s\)")
 # pytest's last line, e.g. "1 failed, 469 passed in 150.20s (0:02:30)"
 TIER1_SUMMARY = re.compile(r"=* ?(\d+ \w+(?:, \d+ \w+)*) in (\d+(?:\.\d+)?)s(?: \([\d:]+\))?(?: =*)?")
+PROBE = ("import statistics, sys; sys.path.insert(0, 'bench'); import run; "
+         "print(statistics.median(run.calibration_probe() for _ in range(3)))")
 
 
 def summarize(raw_parent: list[float], raw_change: list[float], better: str) -> dict:
@@ -89,6 +95,13 @@ def parse_tier1(stdout: str) -> dict:
     return {"counts": counts, "criteria": criteria, "seconds": seconds}
 
 
+def calibrated(run: dict, before: float, after: float) -> dict:
+    """A parsed tier-1 run with the mean of the probes timed just before and
+    just after it, and its seconds in units of that mean."""
+    probe_s = (before + after) / 2
+    return dict(run, probe_s=round(probe_s, 7), probe_units=round(run["seconds"] / probe_s, 1))
+
+
 def export(rev: str, dest: str) -> str:
     """The committed files of `rev`, unpacked into `dest`; returns the full hash."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
@@ -112,8 +125,9 @@ def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict[str, d
 
 
 def tier1_summary(tier1: dict[str, list[dict]]) -> dict:
-    """Paired statistics of the tier-1 seconds and of each criterion that
-    every run on both sides reported, plus each run's outcome counts."""
+    """Paired statistics of the tier-1 seconds, of the probes around them,
+    of the seconds in probe units and of each criterion that every run on
+    both sides reported, plus each run's outcome counts."""
     runs = tier1["parent"] + tier1["change"]
     numbers = sorted(set.intersection(*[set(run["criteria"]) for run in runs]), key=int)
     return {
@@ -121,14 +135,24 @@ def tier1_summary(tier1: dict[str, list[dict]]) -> dict:
         "counts": {side: [run["counts"] for run in tier1[side]] for side in tier1},
         "criteria": {n: summarize(*[[run["criteria"][n] for run in tier1[side]] for side in ("parent", "change")],
                                   "lower") for n in numbers},
-        "seconds": summarize(*[[run["seconds"] for run in tier1[side]] for side in ("parent", "change")], "lower"),
+        **{key: summarize(*[[run[key] for run in tier1[side]] for side in ("parent", "change")], "lower")
+           for key in ("probe_s", "probe_units", "seconds")},
     }
+
+
+def probe(tree: str) -> float:
+    """Seconds of `tree`'s own calibration probe, timed in a fresh process."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    return float(subprocess.run([sys.executable, "-c", PROBE], cwd=tree, env=env,
+                                check=True, capture_output=True, text=True).stdout)
 
 
 def run_tier1(tree: str) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src")
+    before = probe(tree)
     proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
-    return parse_tier1(proc.stdout)
+    return calibrated(parse_tier1(proc.stdout), before, probe(tree))
 
 
 def main() -> int:

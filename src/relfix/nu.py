@@ -7,11 +7,16 @@ this module works with finite prefixes, with the tree a solution labels
 when a machine is unfolded from a state, and with the subset form of the
 same idea: the fixed points of next-time, the right adjoint `box_mask` of a
 machine's successor image, which are the solutions into the meet algebra.
+
+Prefixes are immutable nodes, and subtrees are shared between them.  The
+public `TreePrefix` constructor validates its arguments; enumerations and
+unfoldings build their nodes through `_node` without re-validating, since
+each node takes its symbol and arity from a fiber row or a machine step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import namedtuple
+from functools import lru_cache, partial
 from itertools import product
 
 from .errors import DEFAULT_BUDGET, BijectionViolation, BoundExceeded, BudgetExceeded
@@ -24,26 +29,45 @@ from .sigterm import Signature
 CHECK_DEPTH = 4
 
 
-@dataclass(frozen=True)
-class TreePrefix:
+class TreePrefix(namedtuple("TreePrefix", ("label", "op", "children"))):
     """A finite prefix of a labeled tree.
 
     Leaves carry only a label; expanded nodes carry the symbol applied there
-    and one child prefix per argument.
+    and one child prefix per argument.  A node is an immutable tuple that
+    equals only another `TreePrefix`, never a plain tuple; equality and
+    hashing recurse through Python frames, so a prefix deeper than the
+    recursion limit raises RecursionError rather than overflowing the C stack.
     """
 
-    label: str
-    op: str | None = None
-    children: tuple["TreePrefix", ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if self.op is None and self.children:
+    def __new__(cls, label: str, op: str | None = None, children: tuple[TreePrefix, ...] = ()):
+        children = tuple(children)
+        if op is None and children:
             raise ValueError("a leaf cannot have children")
+        return tuple.__new__(cls, (label, op, children))
+
+    @classmethod
+    def _make(cls, fields):  # `_replace` builds through it: validate there too
+        return cls(*fields)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __hash__(self):
+        return tuple.__hash__(self)
 
     @property
     def is_leaf(self) -> bool:
         return self.op is None
+
+
+# A node from its (label, op, children) fields, unchecked: for builders whose
+# nodes are valid by construction.
+_node = partial(tuple.__new__, TreePrefix)
 
 
 def tree_fibers(alg: FinAlgebra) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
@@ -139,9 +163,9 @@ def enum_nu_prefixes(
         total += sum(count for count, _ in sizes.values())
     if total > budget or sizes[root][1] > budget:
         raise BudgetExceeded(budget + 1, budget)
-    below = {x: [TreePrefix(x)] for x in cutoff}
+    below = {x: [_node((x, None, ()))] for x in cutoff}
     for labels in reversed(levels):
-        below = {x: [TreePrefix(x, op, kids) for op, args in fibers[x]
+        below = {x: [_node((x, op, kids)) for op, args in fibers[x]
                      for kids in product(*map(below.__getitem__, args))] for x in labels}
     return below[root]
 
@@ -149,9 +173,9 @@ def enum_nu_prefixes(
 def _unfold(coalg: FinCoalgebra, f: dict[str, str], depth: int) -> dict[str, TreePrefix]:
     """Each state's machine unfolded `depth` deep, nodes labeled by `f`: one
     node per state per level, shared by the next level's nodes."""
-    trees = {x: TreePrefix(f[x]) for x in coalg.states}
+    trees = {x: _node((f[x], None, ())) for x in coalg.states}
     for _ in range(depth):
-        trees = {x: TreePrefix(f[x], op, tuple(map(trees.__getitem__, args)))
+        trees = {x: _node((f[x], op, tuple(map(trees.__getitem__, args))))
                  for x, (op, args) in coalg.step.items()}
     return trees
 

@@ -54,6 +54,12 @@ def flip_algebra() -> FinAlgebra:
     )
 
 
+def swap_algebra() -> FinAlgebra:
+    """Carrier {0,1}; one unary symbol that swaps, so every label has exactly
+    one fiber row and each depth has a single guided prefix."""
+    return FinAlgebra(Signature((("s", 1),)), ("0", "1"), {("s", ("0",)): "1", ("s", ("1",)): "0"})
+
+
 # chk flips and nil ends a chain
 CHK_NIL = Signature((("chk", 1), ("nil", 0)))
 

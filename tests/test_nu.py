@@ -1,5 +1,7 @@
 """Guided prefixes, rational trees, and next-time fixed points."""
 import random
+import subprocess
+import sys
 import time
 from itertools import product
 
@@ -139,9 +141,7 @@ class TestEnumPrefixes:
             enum_nu_prefixes(alg, "0", 4, budget=50)
 
     def test_deep_single_chain(self):
-        # one unary symbol acting as a swap: every label has exactly one fiber
-        sig = Signature((("s", 1),))
-        alg = FinAlgebra(sig, ("0", "1"), {("s", ("0",)): "1", ("s", ("1",)): "0"})
+        alg = cases.swap_algebra()
         (prefix,) = enum_nu_prefixes(alg, "0", 5000, budget=5001)
         labels = []
         while not prefix.is_leaf:
@@ -152,15 +152,29 @@ class TestEnumPrefixes:
             enum_nu_prefixes(alg, "0", 5000, budget=5000)
         assert err.value.required == 5001
 
+    def test_a_prefix_deeper_than_the_recursion_limit_never_crashes(self):
+        # a tuple's own hash and comparison recurse in C with no depth check;
+        # a prefix's must end in an answer or a RecursionError, not a signal
+        child = "\n".join([
+            "import cases",
+            "from relfix.nu import enum_nu_prefixes",
+            "p, q = (enum_nu_prefixes(cases.swap_algebra(), '0', 100000, budget=100001)[0] for _ in range(2))",
+            "for check in (lambda: hash(p), lambda: p == q, lambda: p != q):",
+            "    try:",
+            "        print('answer', check())",
+            "    except RecursionError:",
+            "        print('RecursionError')",
+        ])
+        proc = subprocess.run([sys.executable, "-c", child], env=cases.child_env(cases.ROOT / "tests"),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)  # negative: killed by a signal
+        outcomes = proc.stdout.splitlines()
+        assert len(outcomes) == 3, proc.stdout
+        assert all(line.startswith("answer ") or line == "RecursionError" for line in outcomes), outcomes
+
     def test_refused_enumeration_builds_nothing(self, monkeypatch, capsys, tmp_path):
-        built = []
-
-        class CountedPrefix(TreePrefix):
-            def __post_init__(self):
-                built.append(self)
-                super().__post_init__()
-
-        monkeypatch.setattr(nu, "TreePrefix", CountedPrefix)
+        built, node = [], nu._node
+        monkeypatch.setattr(nu, "_node", lambda fields: built.append(fields) or node(fields))
         alg = meet_algebra(cases.BINARY)
         with pytest.raises(BudgetExceeded) as err:
             enum_nu_prefixes(alg, "0", 4, budget=50)
@@ -229,6 +243,60 @@ class TestEnumPrefixes:
         total = sum(len(v) for v in fibers.values())
         assert total == 2 * 4  # two binary symbols over a two-element carrier
         assert fibers["1"] == [("cross", ("1", "1")), ("chk", ("1", "1"))]
+
+
+def check_against_public_constructor(roots) -> int:
+    """Every node reachable from `roots` is a `TreePrefix` equal to, and
+    hashing like, the same node rebuilt (children first) through the
+    validating constructor.  Returns the number of distinct nodes."""
+    rebuilt = {}  # id(node) -> (node, its rebuild)
+
+    def rebuild(node):
+        if id(node) not in rebuilt:
+            rebuilt[id(node)] = node, TreePrefix(node.label, node.op, [rebuild(c) for c in node.children])
+        return rebuilt[id(node)][1]
+
+    for root in roots:
+        rebuild(root)
+    for node, again in rebuilt.values():
+        assert type(node) is TreePrefix and type(node.children) is tuple
+        assert node == again and again == node and not node != again
+        assert hash(node) == hash(again)
+    return len(rebuilt)
+
+
+class TestNodes:
+    """The builders' unchecked nodes against the public constructor."""
+
+    def test_built_nodes_match_the_public_constructor(self):
+        rng, refused = random.Random(29), 0
+        enumerated = unfolded = 0
+        for _ in range(120):
+            sig = rng.choice((cases.UNARY, cases.BINARY, cases.CS))
+            alg = random_algebra(rng, sig, rng.randint(1, 3))
+            depth = rng.randint(0, 3)
+            try:
+                enumerated += check_against_public_constructor(
+                    enum_nu_prefixes(alg, rng.choice(alg.carrier), depth, budget=20_000))
+            except BudgetExceeded:
+                refused += 1
+            machine = random_machine(rng, sig, rng.randint(1, 4))
+            f = {x: rng.choice(alg.carrier) for x in machine.states}
+            unfolded += check_against_public_constructor(nu._unfold(machine, f, depth).values())
+        assert enumerated > 5000 and unfolded > 500 and refused < 30
+
+    def test_nodes_are_immutable(self):
+        node = enum_nu_prefixes(cases.flip_algebra(), "0", 1)[0]
+        for field, value in (("label", "1"), ("op", None), ("children", ())):
+            with pytest.raises(AttributeError):
+                setattr(node, field, value)
+        assert node == TreePrefix("0", "cross", (leaf("0"),))
+
+    def test_a_node_never_equals_a_plain_tuple(self):
+        node, fields = TreePrefix("0"), ("0", None, ())
+        assert node != fields and fields != node
+        assert not node == fields and not fields == node
+        assert TreePrefix("0") == leaf("0") and hash(TreePrefix("0")) == hash(leaf("0"))
 
 
 class TestCoextension:
@@ -443,9 +511,10 @@ class TestCartesian:
 
 @pytest.mark.parametrize("build, exc, message", [
     (lambda: TreePrefix("0", None, (leaf("0"),)), ValueError, "a leaf cannot have children"),
+    (lambda: leaf("0")._replace(children=[leaf("0")]), ValueError, "a leaf cannot have children"),
     (lambda: classify_cartesian(cases.chk_two_cycle(), budget=3),
      BudgetExceeded, "enumeration of size 4 exceeds budget 3"),
-], ids=["leaf-with-children", "subsets-over-budget"])
+], ids=["leaf-with-children", "leaf-given-children", "subsets-over-budget"])
 def test_bad_input_is_refused_by_name(build, exc, message):
     with pytest.raises(exc) as err:
         build()
@@ -504,6 +573,14 @@ class TestClassify:
         b = cases.cross_loop()
         solutions = enumerate_hylo(b, meet_algebra(b.sig))
         monkeypatch.setattr(nu, "enumerate_hylo", lambda *_: solutions[:-1])
+        with pytest.raises(BijectionViolation, match="do not match"):
+            classify_cartesian(b)
+
+    def test_a_repeated_solution_is_a_bijection_violation(self, monkeypatch):
+        # the solutions still form the same set, so only their count differs
+        b = cases.cross_loop()
+        solutions = enumerate_hylo(b, meet_algebra(b.sig))
+        monkeypatch.setattr(nu, "enumerate_hylo", lambda *_: solutions + solutions[:1])
         with pytest.raises(BijectionViolation, match="do not match"):
             classify_cartesian(b)
 

@@ -138,13 +138,31 @@ def test_bench_ab_reads_tier1_times():
         load_bench_ab().parse_tier1("criterion 8/9 cartesian classification: PASS (36.6s)\n")
 
 
+def test_bench_ab_calibrates_tier1_runs_by_their_probes():
+    bench_ab = load_bench_ab()
+    parsed = bench_ab.parse_tier1("criterion 8/9 cartesian classification: PASS (36.6s)\n"
+                                  "479 passed in 60.00s (0:01:00)\n")
+    assert bench_ab.calibrated(parsed, 0.0011, 0.0013) == {
+        "counts": {"passed": 479}, "criteria": {"8": 36.6}, "seconds": 60.0,
+        "probe_s": 0.0012, "probe_units": 50000.0,
+    }
+    # the probe of this tree's own bench/run.py, in a fresh process
+    assert 0 < bench_ab.probe(str(ROOT)) < 1
+
+
 def test_bench_ab_summarizes_tier1_runs_by_pair():
     bench_ab = load_bench_ab()
-    run = lambda seconds, c8: {"counts": {"passed": 470}, "criteria": {"8": c8, "9": 0.4}, "seconds": seconds}
-    tier1 = {"parent": [run(50.0, 37.0), run(52.0, 38.0)], "change": [run(49.0, 36.0), run(53.0, 37.5)]}
+    run = lambda seconds, c8, probe_s: bench_ab.calibrated(
+        {"counts": {"passed": 470}, "criteria": {"8": c8, "9": 0.4}, "seconds": seconds}, probe_s, probe_s)
+    tier1 = {"parent": [run(50.0, 37.0, 0.001), run(52.0, 38.0, 0.002)],
+             "change": [run(49.0, 36.0, 0.001), run(53.0, 37.5, 0.0025)]}
     tier1["change"][1]["criteria"].pop("9")  # a criterion missing from one run is left out
     got = bench_ab.tier1_summary(tier1)
     assert list(got["criteria"]) == ["8"]
     assert got["criteria"]["8"] == bench_ab.summarize([37.0, 38.0], [36.0, 37.5], "lower")
     assert got["seconds"]["change_better_pairs"] == 1
+    assert got["probe_s"] == bench_ab.summarize([0.001, 0.002], [0.001, 0.0025], "lower")
+    # slower seconds on a slower host still read better in probe units
+    assert got["probe_units"] == bench_ab.summarize([50000.0, 26000.0], [49000.0, 21200.0], "lower")
+    assert got["probe_units"]["change_better_pairs"] == 2
     assert got["counts"]["change"] == [{"passed": 470}] * 2
