@@ -17,8 +17,8 @@ the wall time pytest reports and each acceptance criterion's time, read
 from the `criterion N/9 ...: PASS (x s)` lines that `-rP` prints.  Just
 before and just after each tier-1 run, a fresh process times that side's
 own `bench/run.py` calibration probe (the median of three); the mean of the
-two, `probe_s`, stands next to the times, and `probe_units` gives the
-tier-1 seconds in units of it, which a drift in the host's speed moves less.
+two, `probe_ms`, stands next to the times, and `probe_units` gives the
+tier-1 seconds in units of it.
 """
 from __future__ import annotations
 
@@ -99,7 +99,7 @@ def calibrated(run: dict, before: float, after: float) -> dict:
     """A parsed tier-1 run with the mean of the probes timed just before and
     just after it, and its seconds in units of that mean."""
     probe_s = (before + after) / 2
-    return dict(run, probe_s=round(probe_s, 7), probe_units=round(run["seconds"] / probe_s, 1))
+    return dict(run, probe_ms=round(probe_s * 1e3, 4), probe_units=round(run["seconds"] / probe_s, 1))
 
 
 def export(rev: str, dest: str) -> str:
@@ -136,7 +136,7 @@ def tier1_summary(tier1: dict[str, list[dict]]) -> dict:
         "criteria": {n: summarize(*[[run["criteria"][n] for run in tier1[side]] for side in ("parent", "change")],
                                   "lower") for n in numbers},
         **{key: summarize(*[[run[key] for run in tier1[side]] for side in ("parent", "change")], "lower")
-           for key in ("probe_s", "probe_units", "seconds")},
+           for key in ("probe_ms", "probe_units", "seconds")},
     }
 
 

@@ -296,7 +296,6 @@ class TestNodes:
         node, fields = TreePrefix("0"), ("0", None, ())
         assert node != fields and fields != node
         assert not node == fields and not fields == node
-        assert TreePrefix("0") == leaf("0") and hash(TreePrefix("0")) == hash(leaf("0"))
 
 
 class TestCoextension:

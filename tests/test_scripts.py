@@ -144,7 +144,7 @@ def test_bench_ab_calibrates_tier1_runs_by_their_probes():
                                   "479 passed in 60.00s (0:01:00)\n")
     assert bench_ab.calibrated(parsed, 0.0011, 0.0013) == {
         "counts": {"passed": 479}, "criteria": {"8": 36.6}, "seconds": 60.0,
-        "probe_s": 0.0012, "probe_units": 50000.0,
+        "probe_ms": 1.2, "probe_units": 50000.0,
     }
     # the probe of this tree's own bench/run.py, in a fresh process
     assert 0 < bench_ab.probe(str(ROOT)) < 1
@@ -161,7 +161,7 @@ def test_bench_ab_summarizes_tier1_runs_by_pair():
     assert list(got["criteria"]) == ["8"]
     assert got["criteria"]["8"] == bench_ab.summarize([37.0, 38.0], [36.0, 37.5], "lower")
     assert got["seconds"]["change_better_pairs"] == 1
-    assert got["probe_s"] == bench_ab.summarize([0.001, 0.002], [0.001, 0.0025], "lower")
+    assert got["probe_ms"] == bench_ab.summarize([1.0, 2.0], [1.0, 2.5], "lower")
     # slower seconds on a slower host still read better in probe units
     assert got["probe_units"] == bench_ab.summarize([50000.0, 26000.0], [49000.0, 21200.0], "lower")
     assert got["probe_units"]["change_better_pairs"] == 2
