@@ -15,10 +15,11 @@ benchmark of its own revision.  With `--tier1`, each pair also runs each
 side's tier-1 tests, in the same order, and the file gains a `tier1` key:
 the wall time pytest reports and each acceptance criterion's time, read
 from the `criterion N/9 ...: PASS (x s)` lines that `-rP` prints.  Just
-before and just after each tier-1 run, a fresh process times that side's
-own `bench/run.py` calibration probe (the median of three); the mean of the
-two, `probe_ms`, stands next to the times, and `probe_units` gives the
-tier-1 seconds in units of it.
+before each tier-1 run, about every 15 s while it runs and just after it, a
+fresh process times that side's own `bench/run.py` calibration probe (the
+median of three); the median of those probes, `probe_ms`, stands next to
+the times with their count, `probes`, and `probe_units` gives the tier-1
+seconds in units of it.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEADER = "# relfix benchmark: workload "
@@ -42,6 +44,10 @@ CRITERION = re.compile(r"criterion (\d+)/\d+ .*: PASS \((\d+(?:\.\d+)?)s\)")
 TIER1_SUMMARY = re.compile(r"=* ?(\d+ \w+(?:, \d+ \w+)*) in (\d+(?:\.\d+)?)s(?: \([\d:]+\))?(?: =*)?")
 PROBE = ("import statistics, sys; sys.path.insert(0, 'bench'); import run; "
          "print(statistics.median(run.calibration_probe() for _ in range(3)))")
+# two probes only at the ends of a 100 s tier-1 run sample the host at two
+# instants: its seconds spread 0.14 of their median between quartiles, and
+# the same runs in probe units 0.33 (BENCH_26.json)
+PROBE_EVERY_S = 15.0
 
 
 def summarize(raw_parent: list[float], raw_change: list[float], better: str) -> dict:
@@ -95,11 +101,12 @@ def parse_tier1(stdout: str) -> dict:
     return {"counts": counts, "criteria": criteria, "seconds": seconds}
 
 
-def calibrated(run: dict, before: float, after: float) -> dict:
-    """A parsed tier-1 run with the mean of the probes timed just before and
-    just after it, and its seconds in units of that mean."""
-    probe_s = (before + after) / 2
-    return dict(run, probe_ms=round(probe_s * 1e3, 4), probe_units=round(run["seconds"] / probe_s, 1))
+def calibrated(run: dict, probes: list[float]) -> dict:
+    """A parsed tier-1 run with the median of the probe seconds timed around
+    and through it, their count, and its seconds in units of that median."""
+    probe_s = statistics.median(probes)
+    return dict(run, probe_ms=round(probe_s * 1e3, 4), probes=len(probes),
+                probe_units=round(run["seconds"] / probe_s, 1))
 
 
 def export(rev: str, dest: str) -> str:
@@ -125,14 +132,15 @@ def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict[str, d
 
 
 def tier1_summary(tier1: dict[str, list[dict]]) -> dict:
-    """Paired statistics of the tier-1 seconds, of the probes around them,
-    of the seconds in probe units and of each criterion that every run on
-    both sides reported, plus each run's outcome counts."""
+    """Paired statistics of the tier-1 seconds, of the probes timed with
+    them, of the seconds in probe units and of each criterion that every run
+    on both sides reported, plus each run's outcome and probe counts."""
     runs = tier1["parent"] + tier1["change"]
     numbers = sorted(set.intersection(*[set(run["criteria"]) for run in runs]), key=int)
     return {
         "command": f"PYTHONPATH=src python {' '.join(TIER1)}",
         "counts": {side: [run["counts"] for run in tier1[side]] for side in tier1},
+        "probes": {side: [run["probes"] for run in tier1[side]] for side in tier1},
         "criteria": {n: summarize(*[[run["criteria"][n] for run in tier1[side]] for side in ("parent", "change")],
                                   "lower") for n in numbers},
         **{key: summarize(*[[run[key] for run in tier1[side]] for side in ("parent", "change")], "lower")
@@ -148,11 +156,32 @@ def probe(tree: str) -> float:
                                 check=True, capture_output=True, text=True).stdout)
 
 
+def probed(tree: str, work):
+    """work()'s result and the seconds of `tree`'s probes, timed just before
+    it, about every PROBE_EVERY_S seconds from a helper thread while it
+    runs, and just after it."""
+    probes, done = [probe(tree)], threading.Event()
+
+    def sample():
+        while not done.wait(PROBE_EVERY_S):
+            probes.append(probe(tree))
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    try:
+        result = work()
+    finally:
+        done.set()
+        sampler.join()
+    probes.append(probe(tree))
+    return result, probes
+
+
 def run_tier1(tree: str) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src")
-    before = probe(tree)
-    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
-    return calibrated(parse_tier1(proc.stdout), before, probe(tree))
+    proc, probes = probed(tree, lambda: subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                                                       capture_output=True, text=True))
+    return calibrated(parse_tier1(proc.stdout), probes)
 
 
 def main() -> int:

@@ -100,7 +100,9 @@ class MonotoneOp:
     """The successor image of a relation on a fixed finite state set:
     F(X) = union of successors over X.  It preserves unions, so it is
     monotone and has a right adjoint, `box_mask`.  Successors are masks up to
-    WORD_STATES states and flat rows past it (see the module docstring)."""
+    WORD_STATES states and flat rows past it (see the module docstring).
+    The operator remembers, for its lifetime, the mask of each frozenset
+    given to `mask_of` and the mu/nu limit of each start mask."""
 
     def __init__(self, states: Iterable[str], successors: Mapping[str, Collection[str]]):
         self.states = tuple(states)
@@ -111,8 +113,13 @@ class MonotoneOp:
             self._succ = self._positions(chain.from_iterable(rows))
             self._at = [0, *accumulate(map(len, rows))]
         else:
-            self._succ_masks = [self.mask_of(successors[x]) for x in self.states]
-        # galois_check repeats each start mask over every pre-fixed partner
+            # rows go around the memo, whose fill would cost each of the
+            # 12,804 operators that sweep's cartesian families build per pass
+            self._succ_masks = [self._mask_of(successors[x]) for x in self.states]
+        # galois_check repeats each start over every partner of the other
+        # kind: frozenset starts keep their masks, and masks their limits,
+        # for the operator's lifetime
+        self._masks: dict[frozenset, int] = {}
         self._mu_cache: dict[int, int] = {}
         self._nu_cache: dict[int, int] = {}
 
@@ -149,16 +156,32 @@ class MonotoneOp:
         return flags
 
     def mask_of(self, subset: Iterable[str]) -> int:
-        # galois_check calls this twice per pair of starts.  Going through
-        # index lists at every size took sweep's op_tail_ms from 2.1 to 3.2 ms
-        # and its ops_per_s down by a fifth (two seeds, 15 s runs).
+        # galois_check calls this twice per pair of starts: 583,460 calls on
+        # 97,496 distinct starts in each pass of sweep's systems family, whose
+        # pass went from 623-845 to 456-647 ms when frozensets were remembered
+        # (six interleaved rounds on a 2-core host, Python 3.11.7).  Only
+        # frozensets: other iterables are unhashable, would be hashed anew
+        # (tuples) or kept alive by their identity (generators).
+        if type(subset) is not frozenset:
+            return self._mask_of(subset)
+        mask = self._masks.get(subset)
+        if mask is None:
+            mask = self._masks[subset] = self._mask_of(subset)
+        return mask
+
+    def _mask_of(self, subset: Iterable[str]) -> int:
+        """The mask of subset, unknown states refused by the first one met.
+        Up to WORD_STATES states, shifting each bit in beat index lists:
+        going through them at every size took sweep's op_tail_ms from 2.1
+        to 3.2 ms and its ops_per_s down by a fifth."""
         if self._wide:
             return _mask_of_indices(self._positions(subset), len(self.states))
-        m = 0
-        for s in subset:
-            if s not in self._index:
-                raise ValueError(f"'{s}' is not a state")
-            m |= 1 << self._index[s]
+        index, m = self._index, 0
+        try:
+            for s in subset:
+                m |= 1 << index[s]
+        except KeyError as missing:
+            raise ValueError(f"'{missing.args[0]}' is not a state") from None
         return m
 
     def set_of(self, mask: int) -> frozenset[str]:
@@ -289,16 +312,20 @@ class MonotoneOp:
                         gone.append(j)
 
     def mu_post_mask(self, mask: int) -> int:
-        if mask not in self._mu_cache:
-            for self._mu_cache[mask] in self.chain(mask, True):
+        limit = self._mu_cache.get(mask)
+        if limit is None:
+            for limit in self.chain(mask, True):
                 pass  # each iterate replaces the last, so a long chain holds one mask
-        return self._mu_cache[mask]
+            self._mu_cache[mask] = limit
+        return limit
 
     def nu_pre_mask(self, mask: int) -> int:
-        if mask not in self._nu_cache:
-            for self._nu_cache[mask] in self.chain(mask, False):
+        limit = self._nu_cache.get(mask)
+        if limit is None:
+            for limit in self.chain(mask, False):
                 pass
-        return self._nu_cache[mask]
+            self._nu_cache[mask] = limit
+        return limit
 
 
 def f_apply(op: MonotoneOp, subset: Iterable[str]) -> frozenset[str]:

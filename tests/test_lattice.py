@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 from typing import Iterator
@@ -145,6 +146,27 @@ class TestGalois:
             w = nu_pre(op, ts.safe)
             assert mu_post(op, w) <= ts.safe
 
+    def test_refuses_a_bad_start_by_its_lowest_stray_state(self):
+        # the adjunction holds on every valid pair, so only its refusals
+        # tell a check from a constant True
+        rng = random.Random(7)
+        seen = Counter()
+        for ts in memo_inputs(rng):
+            op = MonotoneOp.from_transition_system(ts)
+            u = frozenset(x for x in ts.states if rng.random() < 0.5)
+            for stray, exc, args in (
+                (u - plain_image(ts.delta, u), NotPostFixed, (u, ts.safe)),
+                (plain_image(ts.delta, u) - u, NotPreFixed, (ts.init, u)),
+            ):
+                if not stray:
+                    continue
+                seen[len(ts.states) > WORD_STATES, exc] += 1
+                with pytest.raises(exc) as err:
+                    galois_check(op, *args)
+                assert err.value.witness == first_state(ts, stray)
+        for wide in (False, True):
+            assert min(seen[wide, NotPostFixed], seen[wide, NotPreFixed]) >= 5
+
 
 class TestBox:
     def test_right_adjoint_of_successor_image(self):
@@ -178,6 +200,89 @@ class TestBox:
                     assert op.apply_mask(m) == plain_mask(ts, plain_image(ts.delta, u))
                     assert op.box_mask(m) == plain_mask(ts, (x for x in ts.states if ts.delta[x] <= u))
                     assert f_apply(op, u) == plain_image(ts.delta, u)
+
+
+def memo_inputs(rng: random.Random) -> Iterator[TransitionSystem]:
+    """Sparse systems of 1-8, 40-64 and 65-300 states: tiny word masks,
+    full-width word masks and flat rows."""
+    for low, high in ((1, 8), (40, WORD_STATES), (WORD_STATES + 1, 300)):
+        for _ in range(15):
+            yield random_sparse_system(rng, low, high)
+
+
+class TestMaskMemo:
+    """mask_of remembers the mask of each frozenset for the operator's
+    lifetime.  galois_check reads both of its sides through the same mask,
+    so a wrong memo cannot show there: these compare masks and fixed points
+    with plain sets directly."""
+
+    def test_remembered_masks_against_plain_sets(self):
+        rng = random.Random(35)
+        for ts in memo_inputs(rng):
+            op = MonotoneOp.from_transition_system(ts)
+            # many sets of one size: a memo keyed by anything coarser than the set shows
+            for i, x in enumerate(ts.states):
+                assert op.mask_of(frozenset({x})) == 1 << i
+            for density in (0.0, 0.03, 0.5, 0.97, 1.0):
+                u = frozenset(x for x in ts.states if rng.random() < density)
+                m = plain_mask(ts, u)
+                listed = list(u)
+                rng.shuffle(listed)
+                assert op.mask_of(u) == m and op.mask_of(u) == m
+                assert op.mask_of(frozenset(listed)) == m  # equal, built apart
+                assert op.mask_of(tuple(listed)) == m
+                assert op.mask_of(listed + listed[::2]) == m  # repeats
+                assert op.mask_of(x for x in listed) == m
+
+    def test_unknown_state_is_refused_every_time(self):
+        rng = random.Random(36)
+        for ts in memo_inputs(rng):
+            op = MonotoneOp.from_transition_system(ts)
+            known = frozenset(x for x in ts.states if rng.random() < 0.5)
+            for bad in (frozenset({"zz"}), known | {"zz"}):
+                for _ in range(3):
+                    with pytest.raises(ValueError, match="^'zz' is not a state$"):
+                        op.mask_of(bad)
+            assert op.mask_of(known) == plain_mask(ts, known)
+
+    def test_fixed_points_of_remembered_starts_against_plain_sets(self):
+        rng = random.Random(37)
+        for ts in memo_inputs(rng):
+            op = MonotoneOp.from_transition_system(ts)
+            posts, pres = [ts.init], [ts.safe]
+            for _ in range(4):
+                u = frozenset(x for x in ts.states if rng.random() < 0.5)
+                while not u <= plain_image(ts.delta, u):
+                    u &= plain_image(ts.delta, u)
+                v = frozenset(x for x in ts.states if rng.random() < 0.5)
+                while not plain_image(ts.delta, v) <= v:
+                    v |= plain_image(ts.delta, v)
+                posts.append(u)
+                pres.append(v)
+            for _ in range(2):
+                for i in posts:
+                    least = bfs_reachable(ts.delta, i)
+                    assert mu_post(op, i) == least and mu_post(op, frozenset(list(i))) == least
+                for p in pres:
+                    greatest = plain_chain(ts.delta, p)[-1]
+                    assert nu_pre(op, p) == greatest and nu_pre(op, frozenset(list(p))) == greatest
+
+    def test_holds_no_successor_row_and_no_generator(self):
+        # the constructor's rows go around the memo, and only frozensets
+        # enter it, so neither outlives its caller's last reference
+        rng = random.Random(38)
+        for n in (8, WORD_STATES, WORD_STATES + 1):
+            states = tuple(f"s{i}" for i in range(n))
+            rows = {x: frozenset(rng.sample(states, 3)) for x in states}
+            refs = [weakref.ref(row) for row in rows.values()]
+            op = MonotoneOp(states, rows)
+            del rows
+            assert [ref() for ref in refs] == [None] * n
+            gen = (x for x in states[:3])
+            ref = weakref.ref(gen)
+            assert op.mask_of(gen) == 0b111
+            del gen
+            assert ref() is None
 
 
 class TestRandomSystem:

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -142,18 +143,29 @@ def test_bench_ab_calibrates_tier1_runs_by_their_probes():
     bench_ab = load_bench_ab()
     parsed = bench_ab.parse_tier1("criterion 8/9 cartesian classification: PASS (36.6s)\n"
                                   "479 passed in 60.00s (0:01:00)\n")
-    assert bench_ab.calibrated(parsed, 0.0011, 0.0013) == {
+    # the median of the probes, so one slow probe moves nothing
+    assert bench_ab.calibrated(parsed, [0.0013, 0.0011, 0.0012, 0.009, 0.0012]) == {
         "counts": {"passed": 479}, "criteria": {"8": 36.6}, "seconds": 60.0,
-        "probe_ms": 1.2, "probe_units": 50000.0,
+        "probe_ms": 1.2, "probes": 5, "probe_units": 50000.0,
     }
     # the probe of this tree's own bench/run.py, in a fresh process
     assert 0 < bench_ab.probe(str(ROOT)) < 1
 
 
+def test_bench_ab_probes_through_a_run(monkeypatch):
+    bench_ab = load_bench_ab()
+    monkeypatch.setattr(bench_ab, "PROBE_EVERY_S", 0.5)
+    result, probes = bench_ab.probed(str(ROOT), lambda: time.sleep(2) or "done")
+    # one before, one after and, from the helper thread, at least one and
+    # at most one per half second
+    assert result == "done"
+    assert 3 <= len(probes) <= 6 and all(0 < p < 1 for p in probes)
+
+
 def test_bench_ab_summarizes_tier1_runs_by_pair():
     bench_ab = load_bench_ab()
     run = lambda seconds, c8, probe_s: bench_ab.calibrated(
-        {"counts": {"passed": 470}, "criteria": {"8": c8, "9": 0.4}, "seconds": seconds}, probe_s, probe_s)
+        {"counts": {"passed": 470}, "criteria": {"8": c8, "9": 0.4}, "seconds": seconds}, [probe_s] * 3)
     tier1 = {"parent": [run(50.0, 37.0, 0.001), run(52.0, 38.0, 0.002)],
              "change": [run(49.0, 36.0, 0.001), run(53.0, 37.5, 0.0025)]}
     tier1["change"][1]["criteria"].pop("9")  # a criterion missing from one run is left out
@@ -166,3 +178,4 @@ def test_bench_ab_summarizes_tier1_runs_by_pair():
     assert got["probe_units"] == bench_ab.summarize([50000.0, 26000.0], [49000.0, 21200.0], "lower")
     assert got["probe_units"]["change_better_pairs"] == 2
     assert got["counts"]["change"] == [{"passed": 470}] * 2
+    assert got["probes"] == {"parent": [3, 3], "change": [3, 3]}
