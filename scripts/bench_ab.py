@@ -44,9 +44,8 @@ CRITERION = re.compile(r"criterion (\d+)/\d+ .*: PASS \((\d+(?:\.\d+)?)s\)")
 TIER1_SUMMARY = re.compile(r"=* ?(\d+ \w+(?:, \d+ \w+)*) in (\d+(?:\.\d+)?)s(?: \([\d:]+\))?(?: =*)?")
 PROBE = ("import statistics, sys; sys.path.insert(0, 'bench'); import run; "
          "print(statistics.median(run.calibration_probe() for _ in range(3)))")
-# two probes only at the ends of a 100 s tier-1 run sample the host at two
-# instants: its seconds spread 0.14 of their median between quartiles, and
-# the same runs in probe units 0.33 (BENCH_26.json)
+# a probe about this often while tier-1 runs, besides one at each end, so
+# their median samples the host through a 100 s run, not at two instants
 PROBE_EVERY_S = 15.0
 
 

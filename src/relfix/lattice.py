@@ -170,10 +170,10 @@ class MonotoneOp:
         return mask
 
     def _mask_of(self, subset: Iterable[str]) -> int:
-        """The mask of subset, unknown states refused by the first one met.
-        Up to WORD_STATES states, shifting each bit in beat index lists:
-        going through them at every size took sweep's op_tail_ms from 2.1
-        to 3.2 ms and its ops_per_s down by a fifth."""
+        """The mask of subset, refused by the first unknown state met.  Up to
+        WORD_STATES states it shifts each bit in: going through index lists
+        at every size took sweep's op_tail_ms from 2.1 to 3.2 ms and its
+        ops_per_s down by a fifth."""
         if self._wide:
             return _mask_of_indices(self._positions(subset), len(self.states))
         index, m = self._index, 0
