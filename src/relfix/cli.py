@@ -127,13 +127,17 @@ def _cmd_cartesian(args) -> tuple[int, dict]:
 
 
 def _cmd_recursive(args) -> tuple[int, dict]:
-    from .finstruct import all_algebras, count_algebras, enumerate_hylo
+    from .finstruct import all_algebras, count_algebras, enumerate_hylo, is_wellfounded
     from .jsonio import load_coalgebra
 
     if args.max_carrier < 1:  # no algebra tested would make any machine recursive
         raise ValueError(f"--max-carrier {args.max_carrier} is below 1")
     coalg = load_coalgebra(args.coalgebra)
-    count_algebras(coalg.sig, args.max_carrier, args.budget)
+    count = count_algebras(coalg.sig, args.max_carrier, args.budget)
+    # a well-founded machine is recursive (the general recursion theorem), so
+    # every algebra the sweep would test has exactly one solution
+    if is_wellfounded(coalg):
+        return 0, {"recursive": True, "algebras_tested": count, "max_carrier": args.max_carrier}
     sizes = range(1, args.max_carrier + 1)
     algebras = (alg for size in sizes for alg in all_algebras(coalg.sig, size))
     # recursive: exactly one solution against every algebra, up to the first without

@@ -321,7 +321,7 @@ def is_wellfounded(coalg: FinCoalgebra) -> bool:
     """True iff the successor graph has no cycle: the greatest fixed point
     of the successor image, the states at the end of arbitrarily long paths,
     is empty (Adámek, Milius and Moss, 2020)."""
-    # imported here so that `hylo` and `recursive` do not load the lattice
+    # imported here so that `hylo` does not load the lattice
     from .lattice import MonotoneOp
 
     return MonotoneOp.from_machine(coalg).nu_pre_mask((1 << len(coalg.states)) - 1) == 0

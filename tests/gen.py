@@ -80,6 +80,20 @@ def random_machine(rng: random.Random, sig: Signature, n_states: int) -> FinCoal
     return FinCoalgebra(sig, states, step)
 
 
+def random_wellfounded_machine(rng: random.Random, sig: Signature, n_states: int) -> FinCoalgebra:
+    """A random machine with an acyclic successor graph: in a shuffled
+    order, each state's arguments come from the states after it, and the
+    last state takes a nullary symbol, which `sig` must have."""
+    order = [f"x{i}" for i in range(n_states)]
+    rng.shuffle(order)
+    step = {}
+    for i, x in enumerate(order):
+        later = order[i + 1:]
+        op, arity = rng.choice([(op, arity) for op, arity in sig.symbols if later or arity == 0])
+        step[x] = (op, tuple(rng.choice(later) for _ in range(arity)))
+    return FinCoalgebra(sig, tuple(sorted(order, key=lambda x: int(x[1:]))), step)
+
+
 # nullary through ternary symbols, so machines get both nullary steps and
 # repeated arguments such as f(x, x)
 MIXED = Signature((("c", 0), ("g", 1), ("f", 2), ("h", 3)))

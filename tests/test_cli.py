@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import shutil
 import subprocess
@@ -13,11 +14,13 @@ from types import SimpleNamespace
 import pytest
 
 import cases
+import gen
+import oracles
 from cases import acyclic_pq, chk_loop, empty_machine, flip_algebra, three_state_automaton
 from relfix.cli import main
-from relfix import cli, jsonio, nu
+from relfix import cli, finstruct, jsonio, nu
 from relfix.errors import BijectionViolation, BudgetExceeded, SchemaError
-from relfix.finstruct import FinAlgebra, FinCoalgebra
+from relfix.finstruct import FinAlgebra, FinCoalgebra, all_algebras
 from relfix.fractal import RES_LIMIT
 from relfix.lattice import TransitionSystem
 from relfix.nu import TreePrefix
@@ -629,6 +632,46 @@ def test_long_wellfounded_chain_is_recursive(tmp_path):
     proc = run_process("recursive", machine, "--max-carrier", "1")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["recursive"] is True
+
+
+def recursive_sweep(coalg, max_carrier: int) -> dict:
+    """`recursive`'s document from a sweep of every algebra up to
+    `max_carrier`, counting each one's solutions by brute force."""
+    algebras = (alg for size in range(1, max_carrier + 1) for alg in all_algebras(coalg.sig, size))
+    for tested, alg in enumerate(algebras, 1):
+        if len(oracles.brute_force_hylo(coalg, alg)) != 1:
+            return {"algebras_tested": tested, "max_carrier": max_carrier, "recursive": False}
+    return {"algebras_tested": tested, "max_carrier": max_carrier, "recursive": True}
+
+
+def test_recursive_against_a_full_sweep_on_random_machines(capsys, tmp_path):
+    rng = random.Random(2029)
+    sig = Signature((("c", 0), ("g", 1), ("f", 2)))
+    machines = [gen.random_wellfounded_machine(rng, sig, rng.randint(1, 6)) for _ in range(20)]
+    assert all(map(oracles.naive_wellfounded, machines))
+    machines += [gen.random_machine(rng, sig, rng.randint(1, 4)) for _ in range(10)]
+    assert not all(map(oracles.naive_wellfounded, machines[20:]))
+    f = tmp_path / "m.json"
+    for coalg in machines:
+        f.write_text(jsonio.canonical_dumps(jsonio.coalgebra_to_json(coalg)))
+        for max_carrier in (1, 2):
+            code, body = run(capsys, "recursive", f, "--max-carrier", max_carrier)
+            assert (code, body) == (0, recursive_sweep(coalg, max_carrier)), coalg
+
+
+def test_wellfounded_chain_is_recursive_without_a_search(capsys, monkeypatch, tmp_path):
+    # the recursion theorem answers a machine without cycles; one with a
+    # cycle still runs the sweep
+    def no_search(*args):
+        raise AssertionError("enumerate_hylo was called")
+
+    monkeypatch.setattr(finstruct, "enumerate_hylo", no_search)
+    f = tmp_path / "chain.json"
+    f.write_text(jsonio.canonical_dumps(jsonio.coalgebra_to_json(cases.chk_chain(200))))
+    code, body = run(capsys, "recursive", f, "--max-carrier", "4")
+    assert (code, body) == (0, {"algebras_tested": 1 + 2**3 + 3**4 + 4**5, "max_carrier": 4, "recursive": True})
+    with pytest.raises(AssertionError, match="enumerate_hylo was called"):
+        main(["recursive", str(DATA / "two_cycle.json"), "--max-carrier", "1"])
 
 
 def test_memory_error_is_an_input_error(capsys, monkeypatch):

@@ -6,7 +6,6 @@ import importlib.util
 import json
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -100,6 +99,12 @@ def test_bench_ab_reproduces_a_checked_in_file():
     for workload in doc["workloads"].values():
         for name, metric in workload["metrics"].items():
             assert summarize(metric["raw_parent"], metric["raw_change"], better[name]) == metric
+    # and the tier-1 seconds and criterion times of a paired run with --tier1
+    tier1 = json.loads((ROOT / "BENCH_27.json").read_text())["tier1"]
+    timings = [tier1["seconds"], *tier1["criteria"].values()]
+    assert len(timings) == 10
+    for metric in timings:
+        assert summarize(metric["raw_parent"], metric["raw_change"], "lower") == metric
 
 
 def test_bench_ab_reads_each_workloads_result_line():
@@ -139,43 +144,15 @@ def test_bench_ab_reads_tier1_times():
         load_bench_ab().parse_tier1("criterion 8/9 cartesian classification: PASS (36.6s)\n")
 
 
-def test_bench_ab_calibrates_tier1_runs_by_their_probes():
-    bench_ab = load_bench_ab()
-    parsed = bench_ab.parse_tier1("criterion 8/9 cartesian classification: PASS (36.6s)\n"
-                                  "479 passed in 60.00s (0:01:00)\n")
-    # the median of the probes, so one slow probe moves nothing
-    assert bench_ab.calibrated(parsed, [0.0013, 0.0011, 0.0012, 0.009, 0.0012]) == {
-        "counts": {"passed": 479}, "criteria": {"8": 36.6}, "seconds": 60.0,
-        "probe_ms": 1.2, "probes": 5, "probe_units": 50000.0,
-    }
-    # the probe of this tree's own bench/run.py, in a fresh process
-    assert 0 < bench_ab.probe(str(ROOT)) < 1
-
-
-def test_bench_ab_probes_through_a_run(monkeypatch):
-    bench_ab = load_bench_ab()
-    monkeypatch.setattr(bench_ab, "PROBE_EVERY_S", 0.5)
-    result, probes = bench_ab.probed(str(ROOT), lambda: time.sleep(2) or "done")
-    # one before, one after and, from the helper thread, at least one and
-    # at most one per half second
-    assert result == "done"
-    assert 3 <= len(probes) <= 6 and all(0 < p < 1 for p in probes)
-
-
 def test_bench_ab_summarizes_tier1_runs_by_pair():
     bench_ab = load_bench_ab()
-    run = lambda seconds, c8, probe_s: bench_ab.calibrated(
-        {"counts": {"passed": 470}, "criteria": {"8": c8, "9": 0.4}, "seconds": seconds}, [probe_s] * 3)
-    tier1 = {"parent": [run(50.0, 37.0, 0.001), run(52.0, 38.0, 0.002)],
-             "change": [run(49.0, 36.0, 0.001), run(53.0, 37.5, 0.0025)]}
+    run = lambda seconds, c8: {"counts": {"passed": 470}, "criteria": {"8": c8, "9": 0.4}, "seconds": seconds}
+    tier1 = {"parent": [run(50.0, 37.0), run(52.0, 38.0)], "change": [run(49.0, 36.0), run(53.0, 37.5)]}
     tier1["change"][1]["criteria"].pop("9")  # a criterion missing from one run is left out
     got = bench_ab.tier1_summary(tier1)
+    assert sorted(got) == ["command", "counts", "criteria", "seconds"]
     assert list(got["criteria"]) == ["8"]
     assert got["criteria"]["8"] == bench_ab.summarize([37.0, 38.0], [36.0, 37.5], "lower")
+    assert got["seconds"] == bench_ab.summarize([50.0, 52.0], [49.0, 53.0], "lower")
     assert got["seconds"]["change_better_pairs"] == 1
-    assert got["probe_ms"] == bench_ab.summarize([1.0, 2.0], [1.0, 2.5], "lower")
-    # slower seconds on a slower host still read better in probe units
-    assert got["probe_units"] == bench_ab.summarize([50000.0, 26000.0], [49000.0, 21200.0], "lower")
-    assert got["probe_units"]["change_better_pairs"] == 2
     assert got["counts"]["change"] == [{"passed": 470}] * 2
-    assert got["probes"] == {"parent": [3, 3], "change": [3, 3]}
