@@ -84,14 +84,15 @@ def random_wellfounded_machine(rng: random.Random, sig: Signature, n_states: int
     """A random machine with an acyclic successor graph: in a shuffled
     order, each state's arguments come from the states after it, and the
     last state takes a nullary symbol, which `sig` must have."""
-    order = [f"x{i}" for i in range(n_states)]
+    states = tuple(f"x{i}" for i in range(n_states))
+    order = list(states)
     rng.shuffle(order)
     step = {}
     for i, x in enumerate(order):
         later = order[i + 1:]
         op, arity = rng.choice([(op, arity) for op, arity in sig.symbols if later or arity == 0])
         step[x] = (op, tuple(rng.choice(later) for _ in range(arity)))
-    return FinCoalgebra(sig, tuple(sorted(order, key=lambda x: int(x[1:]))), step)
+    return FinCoalgebra(sig, states, step)
 
 
 # nullary through ternary symbols, so machines get both nullary steps and
