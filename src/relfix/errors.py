@@ -1,5 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its frozen records."""
 from math import log10
+
+
+class Record:
+    """A frozen record without `dataclasses`, whose import costs each command
+    several milliseconds.  Subclasses list their constructor's arguments in
+    `_fields` and write `__init__`, `__eq__` and `__hash__` themselves."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class RelfixError(Exception):

@@ -8,74 +8,80 @@ state's successor term under the map reproduces the state's own value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
 from typing import Iterator, Mapping
 
-from .errors import DEFAULT_BUDGET, ArityMismatch, BudgetExceeded, SignatureMismatch
+from .errors import DEFAULT_BUDGET, ArityMismatch, BudgetExceeded, Record, SignatureMismatch
 from .sigterm import Signature
 
 
-@dataclass(frozen=True)
-class FinCoalgebra:
+class FinCoalgebra(Record):
     """Finitely many states, each with one flat successor term step[x] = (op, args)."""
 
-    sig: Signature
-    states: tuple[str, ...]
-    step: dict[str, tuple[str, tuple[str, ...]]]
+    __slots__ = _fields = ("sig", "states", "step")
 
-    def __post_init__(self):
-        states = tuple(self.states)
+    def __init__(self, sig: Signature, states: tuple[str, ...],
+                 step: dict[str, tuple[str, tuple[str, ...]]]):
+        object.__setattr__(self, "sig", sig)
+        states = tuple(states)
         object.__setattr__(self, "states", states)
         state_set = set(states)
         if len(state_set) != len(states):
             raise ValueError("duplicate state names")
         norm: dict[str, tuple[str, tuple[str, ...]]] = {}
         for x in states:
-            if x not in self.step:
+            if x not in step:
                 raise ValueError(f"state '{x}' has no step")
-            op, args = self.step[x]
+            op, args = step[x]
             args = tuple(args)
-            expected = self.sig.arity(op)
+            expected = sig.arity(op)
             if len(args) != expected:
                 raise ArityMismatch(op, expected, len(args))
             for y in args:
                 if y not in state_set:
                     raise ValueError(f"step of '{x}' mentions unknown state '{y}'")
             norm[x] = (op, args)
-        if len(self.step) != len(states):
-            extra = sorted(set(self.step) - state_set)
+        if len(step) != len(states):
+            extra = sorted(set(step) - state_set)
             raise ValueError(f"step defined on non-states: {extra}")
         object.__setattr__(self, "step", norm)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sig, self.states, self.step) == (other.sig, other.states, other.step)
 
-@dataclass(frozen=True)
-class FinAlgebra:
+    def __hash__(self) -> int:
+        return hash((self.sig, self.states, self.step))
+
+
+class FinAlgebra(Record):
     """A total interpretation of a signature on a finite carrier.
 
     Operations are given by an explicit table keyed on (op, argument tuple);
     a `default` output, if present, stands in for omitted rows.
     """
 
-    sig: Signature
-    carrier: tuple[str, ...]
-    table: dict[tuple[str, tuple[str, ...]], str]
-    default: str | None = None
-    # outputs[op]: in carrier order, the values op takes over the whole carrier
-    outputs: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _fields = ("sig", "carrier", "table", "default")
+    # outputs[op]: in carrier order, the values op takes over the whole
+    # carrier; it follows from the fields above and is not compared
+    __slots__ = (*_fields, "outputs")
 
-    def __post_init__(self):
-        carrier = tuple(self.carrier)
+    def __init__(self, sig: Signature, carrier: tuple[str, ...],
+                 table: dict[tuple[str, tuple[str, ...]], str], default: str | None = None):
+        object.__setattr__(self, "sig", sig)
+        carrier = tuple(carrier)
         object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "default", default)
         carrier_set = set(carrier)
         if len(carrier_set) != len(carrier):
             raise ValueError("duplicate carrier elements")
         norm: dict[tuple[str, tuple[str, ...]], str] = {}
-        outputs: dict[str, list[str]] = {op: [] for op, _ in self.sig.symbols}
-        for (op, args), out in self.table.items():
+        outputs: dict[str, list[str]] = {op: [] for op, _ in sig.symbols}
+        for (op, args), out in table.items():
             args = tuple(args)
-            expected = self.sig.arity(op)
+            expected = sig.arity(op)
             if len(args) != expected:
                 raise ArityMismatch(op, expected, len(args))
             if not set(args) <= carrier_set:
@@ -85,21 +91,31 @@ class FinAlgebra:
             norm[(op, args)] = out
             outputs[op].append(out)
         object.__setattr__(self, "table", norm)
-        if self.default is not None and self.default not in carrier_set:
-            raise ValueError(f"default {self.default!r} is not a carrier element")
+        if default is not None and default not in carrier_set:
+            raise ValueError(f"default {default!r} is not a carrier element")
         # the rows are distinct in-carrier tuples of the right arity, so a
         # symbol's table is total exactly when it has carrier^arity rows
-        for op, arity in self.sig.symbols:
+        for op, arity in sig.symbols:
             rows, outs = len(outputs[op]), set(outputs[op])
             if rows != _saturating_pow(len(carrier), arity, rows):
-                if self.default is None:
+                if default is None:
                     raise ValueError(
                         f"no default, and symbol '{op}' has {rows} table rows "
                         f"where {len(carrier)}^{arity} are needed"
                     )
-                outs.add(self.default)
+                outs.add(default)
             outputs[op] = [c for c in carrier if c in outs]
         object.__setattr__(self, "outputs", outputs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sig, self.carrier, self.table, self.default) == (
+            other.sig, other.carrier, other.table, other.default
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.sig, self.carrier, self.table, self.default))
 
     def app(self, op: str, args: tuple[str, ...]) -> str:
         out = self.table.get((op, args), self.default)

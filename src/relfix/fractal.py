@@ -10,12 +10,11 @@ adjacent retained cell contains them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 from typing import Union
 
-from .errors import BoundExceeded, DepthLimit
+from .errors import BoundExceeded, DepthLimit, Record
 
 # kept thirds: all of {0,1,2}^2 except the middle (1,1)
 KEEP = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
@@ -36,19 +35,26 @@ Coord = Union[Fraction, int, float, str]
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class CellSet:
+class CellSet(Record):
     """Cells of the 3^depth grid, addressed (column, row) from the lower left."""
 
-    depth: int
-    cells: frozenset[tuple[int, int]]
+    __slots__ = _fields = ("depth", "cells")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(self.cells))
-        side = 3**self.depth
+    def __init__(self, depth: int, cells: frozenset[tuple[int, int]]):
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "cells", frozenset(cells))
+        side = 3**depth
         for i, j in self.cells:
             if not (0 <= i < side and 0 <= j < side):
-                raise ValueError(f"cell {(i, j)} outside the depth-{self.depth} grid")
+                raise ValueError(f"cell {(i, j)} outside the depth-{depth} grid")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.depth, self.cells) == (other.depth, other.cells)
+
+    def __hash__(self) -> int:
+        return hash((self.depth, self.cells))
 
     @staticmethod
     def full() -> "CellSet":
@@ -163,8 +169,7 @@ def write_pgm(path, depth: int, res: int) -> bytes:
 EDGES = ("bottom", "right", "top", "left")
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(Record):
     """A point on the boundary of the unit square.
 
     The parameter is the x coordinate on the bottom and top edges and the
@@ -172,16 +177,24 @@ class BoundaryPoint:
     descriptions, e.g. (bottom, 1) and (right, 0).
     """
 
-    edge: str
-    t: Fraction
+    __slots__ = _fields = ("edge", "t")
 
-    def __post_init__(self):
-        if self.edge not in EDGES:
-            raise ValueError(f"unknown edge {self.edge!r}")
-        t = Fraction(self.t)
+    def __init__(self, edge: str, t: Fraction):
+        object.__setattr__(self, "edge", edge)
+        if edge not in EDGES:
+            raise ValueError(f"unknown edge {edge!r}")
+        t = Fraction(t)
         if not 0 <= t <= 1:
             raise ValueError("edge parameter must lie in [0, 1]")
         object.__setattr__(self, "t", t)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.edge, self.t) == (other.edge, other.t)
+
+    def __hash__(self) -> int:
+        return hash((self.edge, self.t))
 
     @property
     def xy(self) -> tuple[Fraction, Fraction]:

@@ -8,10 +8,9 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .errors import SchemaError
+from .errors import Record, SchemaError
 
 # Each loader imports the one class it builds, so reading a file loads only
 # the module that file's kind belongs to.
@@ -32,12 +31,22 @@ KNOWN_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(Record):
     """A validated problem file: its declared kind and the raw payload."""
 
-    kind: str
-    payload: dict
+    __slots__ = _fields = ("kind", "payload")
+
+    def __init__(self, kind: str, payload: dict):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.payload) == (other.kind, other.payload)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.payload))
 
 
 def canonical_dumps(obj: Any) -> str:

@@ -19,11 +19,10 @@ edge O(1) times, and masks are read and built in O(n) through bin() and int(_, 2
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count
 from typing import Collection, Iterable, Iterator, Mapping
 
-from .errors import NotPostFixed, NotPreFixed
+from .errors import NotPostFixed, NotPreFixed, Record
 
 # Up to this many states, chains re-apply F to the whole mask; past it, they
 # advance by their frontier.  Timing both chains of the safety check on 40
@@ -39,6 +38,7 @@ WORD_STATES = 64
 # random indices takes 5.1 us against 2.7 us for the pass at 65 states, and
 # 14 us against 57 us at 20,000 states.
 _SHIFT_INDICES = 64
+
 
 _DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\0\1")
 _FLAG_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
@@ -63,23 +63,20 @@ def _mask_of_indices(indices: list[int], n: int) -> int:
     return _mask_of_flags(flags)
 
 
-@dataclass(frozen=True)
-class TransitionSystem:
+class TransitionSystem(Record):
     """States, successor relation, initial states, and safe states."""
 
-    states: tuple[str, ...]
-    delta: dict[str, frozenset[str]]
-    init: frozenset[str]
-    safe: frozenset[str]
+    __slots__ = _fields = ("states", "delta", "init", "safe")
 
-    def __post_init__(self):
-        states = tuple(self.states)
+    def __init__(self, states: tuple[str, ...], delta: dict[str, frozenset[str]],
+                 init: frozenset[str], safe: frozenset[str]):
+        states = tuple(states)
         object.__setattr__(self, "states", states)
         state_set = set(states)
         if len(state_set) != len(states):
             raise ValueError("duplicate state names")
         norm: dict[str, frozenset[str]] = {}
-        for x, succs in self.delta.items():
+        for x, succs in delta.items():
             if x not in state_set:
                 raise ValueError(f"delta defined on non-state '{x}'")
             succs = frozenset(succs)
@@ -89,11 +86,21 @@ class TransitionSystem:
         for x in states:
             norm.setdefault(x, frozenset())
         object.__setattr__(self, "delta", norm)
-        for field_name in ("init", "safe"):
-            value = frozenset(getattr(self, field_name))
+        for field_name, value in (("init", init), ("safe", safe)):
+            value = frozenset(value)
             if not value <= state_set:
                 raise ValueError(f"{field_name} contains non-states")
             object.__setattr__(self, field_name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.states, self.delta, self.init, self.safe) == (
+            other.states, other.delta, other.init, other.safe
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.states, self.delta, self.init, self.safe))
 
 
 class MonotoneOp:
@@ -374,12 +381,24 @@ def random_system(rng: random.Random, max_states: int, density: float) -> Transi
 UNSAFE_FORWARD = "F^n(I) ⊄ P"
 
 
-@dataclass(frozen=True)
-class SafetyVerdict:
-    result: str  # "safe" | "unsafe"
-    stage: int
-    side: str | None = None
-    witness: str | None = None
+class SafetyVerdict(Record):
+    __slots__ = _fields = ("result", "stage", "side", "witness")
+
+    def __init__(self, result: str, stage: int, side: str | None = None, witness: str | None = None):
+        object.__setattr__(self, "result", result)  # "safe" | "unsafe"
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.result, self.stage, self.side, self.witness) == (
+            other.result, other.stage, other.side, other.witness
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.result, self.stage, self.side, self.witness))
 
     @property
     def is_safe(self) -> bool:

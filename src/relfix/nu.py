@@ -21,9 +21,6 @@ from itertools import product
 
 from .errors import DEFAULT_BUDGET, BijectionViolation, BoundExceeded, BudgetExceeded
 from .finstruct import FinAlgebra, FinCoalgebra, _saturating_pow, enumerate_hylo
-# Imported here, not in `cartesian_subcoalgebras`: a function-local import
-# there made each `classify_cartesian` call on a small machine about 5% slower.
-from .lattice import MonotoneOp
 from .sigterm import Signature
 
 CHECK_DEPTH = 4
@@ -209,6 +206,10 @@ def count_coalg_homs_to_nu(
 def cartesian_subcoalgebras(coalg: FinCoalgebra, bound: int = 16) -> list[tuple[str, ...]]:
     """All subsets P with P = next_time(P), in subset-lexicographic order
     (binary counting over the declared state order)."""
+    # imported here so that `nu-enum` and `nu-check` do not load the lattice;
+    # the import costs about 1 us per call
+    from .lattice import MonotoneOp
+
     states = coalg.states
     if len(states) > bound:
         raise BoundExceeded(f"{len(states)} states exceeds the exhaustive bound {bound}")

@@ -10,22 +10,21 @@ equations and queries, and a machine's steps enter as rows directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ArityMismatch, DepthLimit, ParseError, UnknownSymbol
+from .errors import ArityMismatch, DepthLimit, ParseError, Record, UnknownSymbol
 
 DEPTH_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """An ordered list of (symbol name, arity) pairs with distinct names."""
 
-    symbols: tuple[tuple[str, int], ...]
+    __slots__ = ("symbols", "_arities", "_hash")
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        sym = tuple((name, arity) for name, arity in self.symbols)
+    def __init__(self, symbols: tuple[tuple[str, int], ...]):
+        sym = tuple((name, arity) for name, arity in symbols)
         object.__setattr__(self, "symbols", sym)
         if not sym:
             raise ValueError("a signature needs at least one symbol")
@@ -39,6 +38,16 @@ class Signature:
                 raise ValueError(f"symbol '{name}' declared twice")
             seen[name] = arity
         object.__setattr__(self, "_arities", seen)
+        # signatures key the meet algebra's cache and are compared per structure
+        object.__setattr__(self, "_hash", hash(sym))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __contains__(self, name: str) -> bool:
         return name in self._arities
@@ -230,19 +239,26 @@ def parse_term(sig: Signature, text: str) -> Term:
             raise ParseError(f"expected ',' or ')', found {ch!r}", pos)
 
 
-@dataclass(frozen=True)
-class EquationSet:
+class EquationSet(Record):
     """Ground equations between terms over one signature."""
 
-    sig: Signature
-    equations: tuple[tuple[Term, Term], ...]
+    __slots__ = _fields = ("sig", "equations")
 
-    def __post_init__(self):
-        eqs = tuple((lhs, rhs) for lhs, rhs in self.equations)
+    def __init__(self, sig: Signature, equations: tuple[tuple[Term, Term], ...]):
+        object.__setattr__(self, "sig", sig)
+        eqs = tuple((lhs, rhs) for lhs, rhs in equations)
         object.__setattr__(self, "equations", eqs)
         for lhs, rhs in eqs:
-            validate_term(self.sig, lhs)
-            validate_term(self.sig, rhs)
+            validate_term(sig, lhs)
+            validate_term(sig, rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sig, self.equations) == (other.sig, other.equations)
+
+    def __hash__(self) -> int:
+        return hash((self.sig, self.equations))
 
 
 class CongruenceClosure:

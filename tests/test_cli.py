@@ -1024,13 +1024,16 @@ COMMAND_LINES = [
     ["selftest", "--trials", "1"],
 ]
 
-# The lattice commands need none of the term and tree code, and the carpet
-# commands none of the lattice, term or tree code.
+# The lattice commands need none of the term and tree code, the carpet
+# commands none of the lattice, term or tree code, and the tree-prefix
+# commands none of the lattice or carpet code.
 NOT_LOADED = {
     "safety": {"finstruct", "sigterm", "nu", "mu", "fractal"},
     "galois": {"finstruct", "sigterm", "nu", "mu", "fractal"},
     "carpet-member": {"lattice", "finstruct", "sigterm", "nu", "mu"},
     "sierpinski": {"lattice", "finstruct", "sigterm", "nu", "mu"},
+    "nu-enum": {"lattice", "fractal"},
+    "nu-check": {"lattice", "fractal"},
 }
 
 
@@ -1078,3 +1081,32 @@ def test_traced_commands_call_the_wrappers(capsys, monkeypatch):
 def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process `main` call, usage errors included."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    *COMMAND_LINES[:3],
+    ["safety", DATA / "chain_unsafe.json"],
+    ["nu-enum", DATA / "flip_algebra.json", "--root", "9", "--depth", "1"],
+    [],
+    ["safety"],
+    ["hylo", "a.json", "b.json", "--count", "--list"],
+    ["carpet-member", "1/3", "1/2", "--depth", "x"],
+    ["no-such-command"],
+], ids=lambda argv: " ".join(map(str, argv))[:40] or "empty")
+def test_main_builds_its_parser_once(capsys, argv):
+    """Repeated in-process calls share one parser and print the same bytes."""
+    cli.build_parser.cache_clear()
+    first = outcome(capsys, argv)
+    assert outcome(capsys, argv) == first
+    assert cli.build_parser.cache_info().misses == 1
+    assert first[1] or first[2].startswith(("usage:", "error:"))

@@ -67,15 +67,20 @@ def test_star_import():
     assert namespace["safety_check"] is sys.modules["relfix.lattice"].safety_check
 
 
-def test_oracles_import_nothing_from_relfix():
-    """The oracles derive expected values independently of the library."""
-    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+def imported_modules(path: Path) -> list[str]:
+    """The modules that the source file at `path` imports, by its syntax tree."""
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported.append(node.module or "")
+    return imported
+
+
+def test_oracles_import_nothing_from_relfix():
+    """The oracles derive expected values independently of the library."""
+    imported = imported_modules(ROOT / "tests" / "oracles.py")
     assert imported, "no imports found; the parse read the wrong file"
     assert not [m for m in imported if m.split(".")[0] == "relfix"], imported
 
@@ -94,3 +99,24 @@ def test_every_export_has_a_caller():
         used.update(t.string for prev, t in zip([None, *tokens], tokens)
                     if prev is None or prev.string not in ("def", "class"))
     assert [name for name in relfix.__all__ if name not in used] == []
+
+
+def test_no_module_imports_dataclasses():
+    """The record classes are written by hand: importing `dataclasses` loads
+    `inspect`, `ast`, `dis` and `tokenize`, several milliseconds of every
+    command's start-up."""
+    sources = sorted((ROOT / "src" / "relfix").glob("*.py"))
+    assert len(sources) > len(SUBMODULES)
+    for path in sources:
+        assert "dataclasses" not in [m.split(".")[0] for m in imported_modules(path)], path.name
+    code = (
+        "import sys\n"
+        "import relfix.cli, relfix.jsonio, relfix.lattice, relfix.nu, relfix.mu, relfix.fractal\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    )
+    env = child_env()
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n"
