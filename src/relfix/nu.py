@@ -16,7 +16,7 @@ each node takes its symbol and arity from a fiber row or a machine step.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import product
 
 from .errors import DEFAULT_BUDGET, BijectionViolation, BoundExceeded, BudgetExceeded
@@ -203,19 +203,25 @@ def count_coalg_homs_to_nu(
     return len(solutions)
 
 
+@cache
+def _lattice():
+    """The lattice module, imported on first use so that `nu-enum` and
+    `nu-check` do not load it.  An import statement in the caller instead
+    would cost each `classify_cartesian` call about 2 us."""
+    from . import lattice
+
+    return lattice
+
+
 def cartesian_subcoalgebras(coalg: FinCoalgebra, bound: int = 16) -> list[tuple[str, ...]]:
     """All subsets P with P = next_time(P), in subset-lexicographic order
     (binary counting over the declared state order)."""
-    # imported here so that `nu-enum` and `nu-check` do not load the lattice;
-    # the import costs about 1 us per call
-    from .lattice import MonotoneOp
-
     states = coalg.states
     if len(states) > bound:
         raise BoundExceeded(f"{len(states)} states exceeds the exhaustive bound {bound}")
     return [
         tuple(s for i, s in enumerate(states) if mask >> i & 1)
-        for mask in MonotoneOp.from_machine(coalg).box_fixed_masks()
+        for mask in _lattice().MonotoneOp.from_machine(coalg).box_fixed_masks()
     ]
 
 
