@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # `_cmd_<command>` is looked up when it runs, so a patched one is called
+    # looked up when it runs, not bound in the cached parser, so a patched `_cmd_*` is called
     run = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         code, document = run(args)
